@@ -10,76 +10,55 @@ import csv
 import io
 import json
 import sys
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from . import __version__
-from . import evaluate, featurize, learn, preprocess, rfe, synthgen, transform
+from . import evaluate, featurize, learn, rfe, synthgen, transform
 from .dataset import load_manifest, split_by_config
 from .errors import ChatterKitError
 from .evaluate import _atomic_write
-
 
 def _log(msg):
     print(msg, file=sys.stderr)
 
 
-def _add_peak_flags(p):
-    p.add_argument("--alpha", type=float, default=0.1, help="MPH fraction in [0,1]")
-    p.add_argument("--n-peaks", type=int, default=2, help="peaks per transform")
-    p.add_argument("--mpd-fft", type=int, default=500)
-    p.add_argument("--mpd-acf", type=int, default=1000)
-    p.add_argument("--mpd-psd", type=int, default=0)
-
-
-def _add_preprocess_flags(p):
-    p.add_argument("--target-rate-hz", type=float, default=10000.0)
-    p.add_argument("--cutoff-hz", type=float, default=None,
+def _add_pipeline_flags(p, peak_flags):
+    """Flags named after PipelineConfig fields, defaulting to its defaults."""
+    if peak_flags:
+        p.add_argument("--alpha", type=float, help="MPH fraction in [0,1]")
+        p.add_argument("--n-peaks", type=int, help="peaks per transform")
+        p.add_argument("--mpd-fft", type=int)
+        p.add_argument("--mpd-acf", type=int)
+        p.add_argument("--mpd-psd", type=int)
+    p.add_argument("--target-rate-hz", type=float)
+    p.add_argument("--cutoff-hz", type=float,
                    help="anti-alias cutoff (default 0.9 x target Nyquist)")
-    p.add_argument("--filter-order", type=int, default=100)
+    p.add_argument("--filter-order", type=int)
+    p.set_defaults(**asdict(featurize.PipelineConfig()))
 
 
-def _apply_mpd_overrides(args):
-    from . import peaks as pk
-    from .transform import Kind
-
-    pk.MPD_BY_KIND[Kind.FFT] = args.mpd_fft
-    pk.MPD_BY_KIND[Kind.ACF] = args.mpd_acf
-    pk.MPD_BY_KIND[Kind.PSD] = args.mpd_psd
+def _config(args):
+    names = (f.name for f in fields(featurize.PipelineConfig))
+    return featurize.PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
-def _prepare(ds, args):
-    """Decimate any record captured above the working rate."""
-    from .dataset import LabeledDataset
-
-    records = []
-    for rec in ds.records:
-        if rec.sample_rate_hz > args.target_rate_hz:
-            rec = preprocess.decimate(
-                rec, args.target_rate_hz,
-                cutoff_hz=args.cutoff_hz, order=args.filter_order,
-            )
-        records.append(rec)
-    return LabeledDataset(records=tuple(records), manifest_path=ds.manifest_path)
+def _select(ds, config_id):
+    """The records of one config, or all of ds when config_id is empty."""
+    if not config_id:
+        return ds
+    groups = split_by_config(ds)
+    if config_id not in groups:
+        raise ChatterKitError(
+            f"dataset: config {config_id!r} not in manifest "
+            f"(have {sorted(groups)})"
+        )
+    return groups[config_id]
 
 
-def _load_group(args, config_id=None):
-    ds = load_manifest(args.manifest)
-    ds = _prepare(ds, args)
-    cid = config_id if config_id is not None else getattr(args, "config_id", None)
-    if cid:
-        groups = split_by_config(ds)
-        if cid not in groups:
-            raise ChatterKitError(
-                f"dataset: config {cid!r} not in manifest "
-                f"(have {sorted(groups)})"
-            )
-        ds = groups[cid]
-    return ds
-
-
-def _matrix(ds, args):
-    return featurize.build_matrix(ds, n_peaks=args.n_peaks, alpha=args.alpha)
+def _features(args):
+    """Feature matrix of the --config-id group (or the whole manifest)."""
+    ds = _select(load_manifest(args.manifest), args.config_id)
+    return featurize.build_matrix(ds, _config(args))
 
 
 def cmd_synth(args):
@@ -94,8 +73,7 @@ def cmd_synth(args):
 
 
 def cmd_features(args):
-    _apply_mpd_overrides(args)
-    fm = _matrix(_load_group(args), args)
+    fm = _features(args)
     for rid, reason in fm.excluded:
         _log(f"excluded {rid}: {reason}")
     buf = io.StringIO()
@@ -103,7 +81,7 @@ def cmd_features(args):
     writer.writerow(list(fm.feature_names) + ["label", "config_id"])
     for i in range(fm.n_rows):
         writer.writerow(
-            [repr(v) for v in fm.X[i]] + [int(fm.y[i]), fm.config_ids[i]]
+            [repr(float(v)) for v in fm.X[i]] + [int(fm.y[i]), fm.config_ids[i]]
         )
     _atomic_write(args.features_out, buf.getvalue())
     _log(f"wrote {fm.n_rows} x {fm.n_features} matrix to {args.features_out}")
@@ -113,24 +91,28 @@ def cmd_features(args):
 def _check_report(path):
     """Minimal schema check on an emitted report; exit code 2 on failure."""
     try:
-        doc = json.loads(open(path, encoding="utf-8").read())
-        rows = doc["results"]
-        assert isinstance(rows, list) and rows
-        for row in rows:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        rows = doc.get("results") if isinstance(doc, dict) else None
+        if not isinstance(rows, list) or not rows:
+            raise ValueError(f"'results' is {rows!r}, expected a non-empty list")
+        for i, row in enumerate(rows):
             for key in ("classifier", "rfe"):
-                assert key in row
+                if key not in row:
+                    raise ValueError(f"results[{i}] has no {key!r}")
             for key, val in row.items():
                 if key.startswith(("mean_", "std_")) or key.endswith("accuracy"):
-                    assert 0.0 <= val <= 1.0
-    except (Exception, AssertionError) as exc:
+                    if not (isinstance(val, (int, float)) and 0.0 <= val <= 1.0):
+                        raise ValueError(f"results[{i}][{key!r}] is {val!r}, "
+                                         "expected a number in [0, 1]")
+    except Exception as exc:
         _log(f"report check failed: {exc}")
         return 2
     return 0
 
 
 def cmd_eval(args):
-    _apply_mpd_overrides(args)
-    fm = _matrix(_load_group(args), args)
+    fm = _features(args)
     result = evaluate.repeated_split_eval(
         fm, args.classifier, use_rfe=args.rfe == "on",
         n_rep=args.reps, test_frac=args.test_frac, seed=args.seed,
@@ -145,8 +127,7 @@ def cmd_eval(args):
 
 
 def cmd_cv(args):
-    _apply_mpd_overrides(args)
-    fm = _matrix(_load_group(args), args)
+    fm = _features(args)
     result = evaluate.kfold_cv(
         fm, args.classifier, use_rfe=args.rfe == "on",
         k=args.folds, seed=args.seed, config_id=args.config_id or "",
@@ -158,9 +139,9 @@ def cmd_cv(args):
 
 
 def cmd_transfer(args):
-    _apply_mpd_overrides(args)
-    source = _matrix(_load_group(args, args.source_config), args)
-    target = _matrix(_load_group(args, args.target_config), args)
+    ds, cfg = load_manifest(args.manifest), _config(args)
+    groups = [_select(ds, cid) for cid in (args.source_config, args.target_config)]
+    source, target = (featurize.build_matrix(g, cfg) for g in groups)
     result = evaluate.transfer_eval(
         source, target, args.classifier, use_rfe=args.rfe == "on", seed=args.seed
     )
@@ -171,8 +152,7 @@ def cmd_transfer(args):
 
 
 def cmd_rank_report(args):
-    _apply_mpd_overrides(args)
-    fm = _matrix(_load_group(args), args)
+    fm = _features(args)
     ranking = rfe.rank_features(fm.X, fm.y, args.classifier, seed=args.seed)
     result = evaluate.repeated_split_eval(
         fm, args.classifier, use_rfe=True, n_rep=args.reps, seed=args.seed,
@@ -191,11 +171,11 @@ def cmd_rank_report(args):
 
 
 def cmd_dump_transform(args):
-    ds = _load_group(args)
+    ds = _select(load_manifest(args.manifest), args.config_id)
     matches = [r for r in ds.records if r.record_id == args.record_id]
     if not matches:
         raise ChatterKitError(f"dataset: record {args.record_id!r} not found")
-    rec = matches[0]
+    rec = _config(args).to_working_rate(matches[0])
     fn = {
         "fft": transform.amplitude_spectrum,
         "psd": transform.power_spectral_density,
@@ -236,8 +216,7 @@ def build_parser():
         q.add_argument("--classifier", choices=learn.KINDS, default="rf")
         q.add_argument("--rfe", choices=("on", "off"), default="off")
         q.add_argument("--seed", type=int, default=0)
-        _add_peak_flags(q)
-        _add_preprocess_flags(q)
+        _add_pipeline_flags(q, peak_flags=True)
         return q
 
     p = experiment_parser("features", "dump the feature matrix as CSV")
@@ -278,7 +257,7 @@ def build_parser():
     p.add_argument("--record-id", required=True)
     p.add_argument("--kind", choices=("fft", "psd", "acf"), required=True)
     p.add_argument("--out", required=True)
-    _add_preprocess_flags(p)
+    _add_pipeline_flags(p, peak_flags=False)
     p.set_defaults(fn=cmd_dump_transform)
 
     return parser

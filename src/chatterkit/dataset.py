@@ -8,7 +8,7 @@ line, optionally with a non-numeric header line.
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,7 @@ class TimeSeries:
     record_id: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        object.__setattr__(self, "samples", np.array(self.samples, dtype=float))
         if self.samples.size == 0:
             raise SignalLoadError(f"record {self.record_id!r}: empty signal")
         if self.sample_rate_hz <= 0:

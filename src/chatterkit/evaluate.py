@@ -9,7 +9,7 @@ import csv
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,9 +81,7 @@ class TransferResult:
         }
 
 
-def _accuracy(model, X, y, cols=None):
-    if cols is not None:
-        X = X[:, list(cols)]
+def _accuracy(model, X, y):
     return float(np.mean(model.predict(X) == y))
 
 
@@ -212,7 +210,7 @@ def transfer_eval(source, target, kind, use_rfe=False, seed=0,
                 accs.append(float(np.mean(model.predict(X_sub[te]) == y[te])))
             return float(np.mean(accs))
 
-        best_k, _ = rfe.select_best_k(source.X, source.y, kind, ranking, protocol)
+        best_k, _ = rfe.select_best_k(source.X, source.y, ranking, protocol)
         subset = tuple(ranking.order[:best_k])
         cols = list(subset)
     Xtr = source.X if cols is None else source.X[:, cols]

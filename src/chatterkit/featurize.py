@@ -5,11 +5,12 @@ peaks of its amplitude spectrum, PSD and ACF, concatenated in that
 order: 6 * n_peaks values total (30 for five peaks, 12 for two).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import peaks as pk
+from . import preprocess
 from . import transform as tf
 from .dataset import to_binary
 from .errors import EvaluationError, PeakShortfall
@@ -28,6 +29,37 @@ def feature_names(n_peaks):
 
 
 @dataclass(frozen=True)
+class PipelineConfig:
+    """Every setting between a raw record and its feature vector.
+
+    Each field is the CLI flag of the same name, defaults included.
+    cutoff_hz None means 0.9x the target Nyquist.
+    """
+
+    target_rate_hz: float = 10000.0
+    cutoff_hz: float = None
+    filter_order: int = preprocess.DEFAULT_ORDER
+    n_peaks: int = 2
+    alpha: float = 0.1
+    mpd_fft: int = 500
+    mpd_acf: int = 1000
+    mpd_psd: int = 0
+
+    def peak_constraints(self, kind):
+        mpd = {tf.Kind.FFT: self.mpd_fft, tf.Kind.ACF: self.mpd_acf,
+               tf.Kind.PSD: self.mpd_psd}[kind]
+        return pk.PeakConstraints(alpha=self.alpha, mpd=mpd, n_peaks=self.n_peaks)
+
+    def to_working_rate(self, ts):
+        """Decimate a record captured above the working rate; pass others through."""
+        if ts.sample_rate_hz <= self.target_rate_hz:
+            return ts
+        return preprocess.decimate(
+            ts, self.target_rate_hz, cutoff_hz=self.cutoff_hz, order=self.filter_order
+        )
+
+
+@dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
     n_peaks: int
@@ -35,8 +67,10 @@ class FeatureVector:
     config_id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        assert self.values.size == 6 * self.n_peaks
+        object.__setattr__(self, "values", np.array(self.values, dtype=float))
+        if self.values.size != 6 * self.n_peaks:
+            raise EvaluationError(f"record {self.record_id!r}: {self.values.size} "
+                                  f"values, expected {6 * self.n_peaks}")
         self.values.setflags(write=False)
 
 
@@ -50,8 +84,8 @@ class FeatureMatrix:
     excluded: tuple = ()  # (record_id, reason) pairs dropped during assembly
 
     def __post_init__(self):
-        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=int))
+        object.__setattr__(self, "X", np.array(self.X, dtype=float))
+        object.__setattr__(self, "y", np.array(self.y, dtype=int))
         if self.X.ndim != 2 or self.X.shape[0] != self.y.size:
             raise EvaluationError("X/y shape mismatch")
         if len(self.feature_names) != self.X.shape[1]:
@@ -67,55 +101,44 @@ class FeatureMatrix:
     def n_features(self):
         return self.X.shape[1]
 
-    def subset_rows(self, idx):
-        idx = np.asarray(idx)
-        return FeatureMatrix(
-            X=self.X[idx],
-            y=self.y[idx],
-            feature_names=self.feature_names,
-            config_ids=tuple(np.asarray(self.config_ids)[idx]) if self.config_ids else (),
-            record_ids=tuple(np.asarray(self.record_ids)[idx]) if self.record_ids else (),
-        )
 
-
-def extract_features(ts, n_peaks=pk.DEFAULT_N_PEAKS, alpha=pk.DEFAULT_ALPHA,
-                     max_lag=None, psd_nperseg=None):
-    """Transform one preprocessed record into its peak-coordinate vector.
+def extract_features(ts, cfg=PipelineConfig()):
+    """Transform one record at the working rate into its peak-coordinate vector.
 
     Raises PeakShortfall if any of the three transforms yields fewer
-    than n_peaks admissible peaks; coordinates are never padded.
+    than cfg.n_peaks admissible peaks; coordinates are never padded.
     """
     sequences = (
         tf.amplitude_spectrum(ts),
-        tf.power_spectral_density(ts, nperseg=psd_nperseg),
-        tf.autocorrelation(ts, max_lag=max_lag),
+        tf.power_spectral_density(ts),
+        tf.autocorrelation(ts),
     )
     values = []
     for seq in sequences:
-        found = pk.find_peaks(seq, pk.kind_defaults(seq.kind, alpha=alpha, n_peaks=n_peaks))
-        if len(found) < n_peaks:
-            raise PeakShortfall(seq.kind.value, len(found), n_peaks)
-        for p in found[:n_peaks]:
+        found = pk.find_peaks(seq, cfg.peak_constraints(seq.kind))
+        if len(found) < cfg.n_peaks:
+            raise PeakShortfall(seq.kind.value, len(found), cfg.n_peaks)
+        for p in found[: cfg.n_peaks]:
             values.extend((p.x, p.y))
     return FeatureVector(
-        values=np.array(values),
-        n_peaks=n_peaks,
+        values=values,
+        n_peaks=cfg.n_peaks,
         record_id=ts.record_id,
         config_id=ts.config.config_id,
     )
 
 
-def build_matrix(ds, n_peaks=pk.DEFAULT_N_PEAKS, alpha=pk.DEFAULT_ALPHA,
-                 max_lag=None, psd_nperseg=None):
+def build_matrix(ds, cfg=PipelineConfig()):
     """Feature matrix over the learnable records of a dataset.
 
-    Rows hitting a peak shortfall are dropped and reported in
-    FeatureMatrix.excluded rather than padded.
+    Each record is first brought to the working rate
+    (PipelineConfig.to_working_rate). Rows hitting a peak shortfall are
+    dropped and reported in FeatureMatrix.excluded rather than padded.
     """
     rows, labels, config_ids, record_ids, excluded = [], [], [], [], []
     for rec in ds.learnable:
         try:
-            fv = extract_features(rec, n_peaks, alpha, max_lag, psd_nperseg)
+            fv = extract_features(cfg.to_working_rate(rec), cfg)
         except PeakShortfall as exc:
             excluded.append((rec.record_id, str(exc)))
             continue
@@ -128,7 +151,7 @@ def build_matrix(ds, n_peaks=pk.DEFAULT_N_PEAKS, alpha=pk.DEFAULT_ALPHA,
     return FeatureMatrix(
         X=np.vstack(rows),
         y=np.array(labels),
-        feature_names=tuple(feature_names(n_peaks)),
+        feature_names=tuple(feature_names(cfg.n_peaks)),
         config_ids=tuple(config_ids),
         record_ids=tuple(record_ids),
         excluded=tuple(excluded),

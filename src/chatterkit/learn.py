@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FitError
 from .featurize import Scaler, standardize
-from .trees import GradientBoosting, RandomForest, _Node, ClassificationTree
+from .trees import ClassificationTree, GradientBoosting, RandomForest, RegressionTree, _Node
 
 KINDS = ("svm", "lr", "rf", "gb")
 
@@ -190,8 +190,6 @@ class Model:
             gb = GradientBoosting()
             gb.base_score = doc["base_score"]
             for sd in doc["stages"]:
-                from .trees import RegressionTree
-
                 tree = RegressionTree()
                 tree.root = _Node.from_dict(sd["root"])
                 tree.importance_ = np.array(sd["importance"])

@@ -13,22 +13,16 @@ by ascending x. Small mpd therefore concentrates the picked points near
 the maximum amplitude, large mpd forces them to spread out.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .transform import Kind
-
-DEFAULT_ALPHA = 0.1
-DEFAULT_N_PEAKS = 5
-MPD_BY_KIND = {Kind.FFT: 500, Kind.ACF: 1000, Kind.PSD: 0}
 
 
 @dataclass(frozen=True)
 class PeakConstraints:
-    alpha: float = DEFAULT_ALPHA
-    mpd: int = 0
-    n_peaks: int = DEFAULT_N_PEAKS
+    alpha: float
+    mpd: int
+    n_peaks: int
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
@@ -46,9 +40,11 @@ class Peak:
     index: int
 
 
-def kind_defaults(kind, alpha=DEFAULT_ALPHA, n_peaks=DEFAULT_N_PEAKS):
-    """Per-transform peak-distance defaults: FFT 500, ACF 1000, PSD none."""
-    return PeakConstraints(alpha=alpha, mpd=MPD_BY_KIND[kind], n_peaks=n_peaks)
+def kind_defaults(kind):
+    """Default PipelineConfig constraints: MPD FFT 500, ACF 1000, PSD none."""
+    from .featurize import PipelineConfig  # featurize imports this module
+
+    return PipelineConfig().peak_constraints(kind)
 
 
 def min_peak_height(seq, alpha):

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learn
+from .errors import EvaluationError
 
 
 @dataclass(frozen=True)
@@ -20,8 +21,8 @@ class Ranking:
     seed: int
 
     def __post_init__(self):
-        d = len(self.order)
-        assert sorted(self.order) == list(range(d)), "ranking must be a permutation"
+        if sorted(self.order) != list(range(len(self.order))):
+            raise EvaluationError(f"ranking {self.order} is not a permutation")
 
 
 def rank_features(X, y, kind, seed=0):
@@ -46,7 +47,7 @@ def nested_subsets(ranking):
     return [tuple(ranking.order[:k]) for k in range(1, len(ranking.order) + 1)]
 
 
-def select_best_k(X, y, kind, ranking, protocol, seed=0):
+def select_best_k(X, y, ranking, protocol):
     """Pick the subset size maximizing the protocol's mean test accuracy.
 
     `protocol(X_sub, y)` must return a mean test accuracy for the given

@@ -16,7 +16,6 @@ STAGE_IDS = {
     "rfe": 4,
     "fold": 5,
     "transfer": 6,
-    "tree": 7,
 }
 
 

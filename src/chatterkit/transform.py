@@ -30,8 +30,8 @@ class IndexedSequence:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=float))
-        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=float))
+        object.__setattr__(self, "xs", np.array(self.xs, dtype=float))
+        object.__setattr__(self, "ys", np.array(self.ys, dtype=float))
         if len(self.xs) != len(self.ys) or len(self.xs) < 2:
             raise TransformError("xs/ys must have equal length >= 2")
         if np.any(np.diff(self.xs) <= 0):

@@ -14,7 +14,7 @@ import pytest
 
 from chatterkit import evaluate, learn, synthgen
 from chatterkit.cli import main
-from chatterkit.featurize import FeatureMatrix, build_matrix, feature_names
+from chatterkit.featurize import FeatureMatrix, PipelineConfig, build_matrix, feature_names
 from chatterkit.dataset import LabeledDataset, load_manifest, split_by_config
 from chatterkit.peaks import min_peak_height
 from chatterkit.rfe import rank_features
@@ -40,8 +40,8 @@ def synth_matrices():
     spec_a, spec_b = synthgen.default_spec_pair(seed=SYNTH_SEED)
     ds = synthgen.make_dataset(spec_a, spec_b)
     groups = split_by_config(ds)
-    fm_a = build_matrix(groups["synth_a"], n_peaks=2)
-    fm_b = build_matrix(groups["synth_b"], n_peaks=2)
+    fm_a = build_matrix(groups["synth_a"], PipelineConfig(n_peaks=2))
+    fm_b = build_matrix(groups["synth_b"], PipelineConfig(n_peaks=2))
     assert fm_a.n_rows == 60 and fm_b.n_rows == 60
     return fm_a, fm_b
 
@@ -74,7 +74,7 @@ def test_criterion_1_feature_cardinality():
     ts = synthgen.make_signal(1, synthgen.SynthSpec(seed=3), 0)
     from chatterkit.featurize import extract_features
 
-    assert extract_features(ts, n_peaks=2).values.size == 12
+    assert extract_features(ts, PipelineConfig(n_peaks=2)).values.size == 12
     assert time.time() - t0 < 1.0
 
 
@@ -219,16 +219,29 @@ def autocorrelation_of(samples):
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    """Same CLI invocation, same root seed => byte-identical reports."""
+    """Same CLI invocation, same root seed => byte-identical outputs, for
+    every subcommand that writes one."""
     t0 = time.time()
     corpus = tmp_path / "corpus"
     assert main(["synth", "--out-dir", str(corpus), "--n", "3", "--seed", "5"]) == 0
-    args = ["eval", "--manifest", str(corpus / "manifest.json"),
-            "--config-id", "synth_a", "--classifier", "rf", "--seed", "9"]
-    out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    m = ["--manifest", str(corpus / "manifest.json")]
+    rf = ["--classifier", "rf", "--seed", "9"]
+    commands = {
+        "eval": ["eval", *m, "--config-id", "synth_a", *rf, "--out"],
+        "cv": ["cv", *m, "--config-id", "synth_a", *rf, "--folds", "3", "--out"],
+        "transfer": ["transfer", *m, "--source-config", "synth_a",
+                     "--target-config", "synth_b", *rf, "--rfe", "on", "--out"],
+        "rank-report": ["rank-report", *m, "--config-id", "synth_a", *rf,
+                        "--reps", "3", "--out"],
+        "features": ["features", *m, "--config-id", "synth_a", "--features-out"],
+        "dump-transform": ["dump-transform", *m, "--record-id", "synth_b_chatter_0",
+                           "--kind", "acf", "--out"],
+    }
+    for name, args in commands.items():
+        out1, out2 = tmp_path / f"{name}1.out", tmp_path / f"{name}2.out"
+        assert main(args + [str(out1)]) == 0, name
+        assert main(args + [str(out2)]) == 0, name
+        assert out1.read_bytes() == out2.read_bytes(), name
     assert time.time() - t0 < 60.0
 
 
@@ -245,8 +258,8 @@ def test_criterion_8_real_data_optional():
     ids = sorted(groups)
     src_id = next(i for i in ids if "5.08" in i or "overhang_5.08" in i)
     tgt_id = next(i for i in ids if "11.43" in i)
-    fm_src = build_matrix(groups[src_id], n_peaks=2)
-    fm_tgt = build_matrix(groups[tgt_id], n_peaks=2)
+    fm_src = build_matrix(groups[src_id], PipelineConfig(n_peaks=2))
+    fm_tgt = build_matrix(groups[tgt_id], PipelineConfig(n_peaks=2))
     res = evaluate.repeated_split_eval(fm_src, "rf", use_rfe=True, seed=0)
     assert 0.85 <= res.mean_test <= 1.00
     tr = evaluate.transfer_eval(fm_src, fm_tgt, "rf", use_rfe=True, seed=0)

@@ -1,8 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import chatterkit
+from chatterkit import cli, preprocess, synthgen
 from chatterkit.cli import main
+from chatterkit.dataset import load_manifest, split_by_config
+from chatterkit.featurize import build_matrix
+from chatterkit.peaks import kind_defaults
+from chatterkit.transform import Kind
 
 
 @pytest.fixture(scope="module")
@@ -11,6 +22,42 @@ def corpus(tmp_path_factory):
     rc = main(["synth", "--out-dir", str(out), "--n", "4", "--seed", "11"])
     assert rc == 0
     return out / "manifest.json"
+
+
+@pytest.fixture(scope="module")
+def corpus_20k(tmp_path_factory):
+    """Two configs of 2+2 records captured at 20 kHz, twice the working rate."""
+    spec_a = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=20000.0, seed=1,
+                                config_id="fast_a")
+    spec_b = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=20000.0, seed=2,
+                                chatter_freq_hz=1600.0, config_id="fast_b",
+                                overhang_cm=11.43)
+    return synthgen.write_corpus(tmp_path_factory.mktemp("corpus20k"), spec_a, spec_b)
+
+
+def _group(manifest, config_id):
+    return split_by_config(load_manifest(manifest))[config_id]
+
+
+def _read_features(path):
+    """The feature cells of a `features` CSV as floats, and its header."""
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    X = np.array([[float(c) for c in line.split(",")[:-2]] for line in lines[1:]])
+    return X, header
+
+
+def _record_calls(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's first argument."""
+    calls = []
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
 
 
 def test_version_exits_zero(capsys):
@@ -43,12 +90,52 @@ def test_features_csv(corpus, tmp_path):
     rc = main(["features", "--manifest", str(corpus),
                "--config-id", "synth_a", "--features-out", str(out)])
     assert rc == 0
-    lines = out.read_text().splitlines()
-    header = lines[0].split(",")
+    X, header = _read_features(out)
     assert header[:2] == ["fft_p1_x", "fft_p1_y"]
     assert header[-2:] == ["label", "config_id"]
-    assert len(lines) == 9  # header + 8 records
-    assert len(header) == 14  # 12 features + label + config_id
+    assert X.shape == (8, 12)  # 8 records; 12 features + label + config_id
+    assert len(header) == 14
+    assert np.array_equal(X, build_matrix(_group(corpus, "synth_a")).X)
+
+
+def test_library_matrix_decimates_like_cli(corpus_20k, tmp_path):
+    out = tmp_path / "features.csv"
+    assert main(["features", "--manifest", str(corpus_20k),
+                 "--config-id", "fast_a", "--features-out", str(out)]) == 0
+    X, _ = _read_features(out)
+    assert np.array_equal(X, build_matrix(_group(corpus_20k, "fast_a")).X)
+
+
+def test_commands_load_once_and_decimate_only_what_they_use(corpus_20k, tmp_path,
+                                                            monkeypatch):
+    ids = {cid: sorted(r.record_id for r in _group(corpus_20k, cid).records)
+           for cid in ("fast_a", "fast_b")}
+    loads = _record_calls(monkeypatch, cli, "load_manifest")
+    decimated = _record_calls(monkeypatch, preprocess, "decimate")
+    m, out = ["--manifest", str(corpus_20k)], ["--out", str(tmp_path / "out")]
+    runs = [
+        (["eval", *m, "--config-id", "fast_a", "--classifier", "lr", "--reps", "2"],
+         ids["fast_a"]),
+        (["transfer", *m, "--source-config", "fast_a", "--target-config", "fast_b",
+          "--classifier", "lr"], ids["fast_a"] + ids["fast_b"]),
+        (["dump-transform", *m, "--record-id", ids["fast_b"][0], "--kind", "fft"],
+         ids["fast_b"][:1]),
+    ]
+    for argv, expected in runs:
+        loads.clear()
+        decimated.clear()
+        assert main(argv + out) == 0
+        assert len(loads) == 1, argv[0]
+        assert sorted(ts.record_id for ts in decimated) == expected, argv[0]
+
+
+def test_mpd_flags_leave_library_defaults(corpus, tmp_path):
+    assert main(["features", "--manifest", str(corpus), "--config-id", "synth_a",
+                 "--mpd-fft", "3", "--mpd-acf", "7", "--mpd-psd", "2",
+                 "--features-out", str(tmp_path / "f.csv")]) == 0
+    assert kind_defaults(Kind.FFT).mpd == 500
+    assert kind_defaults(Kind.ACF).mpd == 1000
+    assert kind_defaults(Kind.PSD).mpd == 0
 
 
 def test_eval_report_and_check(corpus, tmp_path):
@@ -71,7 +158,7 @@ def test_eval_deterministic_bytes(corpus, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_check_flags_bad_report(corpus, tmp_path, monkeypatch):
+def test_check_flags_bad_report(corpus, tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["eval", "--manifest", str(corpus), "--config-id", "synth_a",
                "--classifier", "lr", "--out", str(out)])
@@ -81,7 +168,17 @@ def test_check_flags_bad_report(corpus, tmp_path, monkeypatch):
     out.write_text(json.dumps(doc))
     from chatterkit.cli import _check_report
 
+    capsys.readouterr()
     assert _check_report(str(out)) == 2
+    assert "mean_test" in capsys.readouterr().err
+    # the check must not vanish with assert statements under python -O
+    env = dict(os.environ, PYTHONPATH=str(Path(chatterkit.__file__).parents[1]))
+    code = ("import sys; from chatterkit.cli import _check_report; "
+            "sys.exit(_check_report(sys.argv[1]))")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, str(out)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "mean_test" in proc.stderr and "7.5" in proc.stderr
 
 
 def test_cv_report(corpus, tmp_path):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from chatterkit.dataset import LabeledDataset, RawLabel
+from chatterkit.dataset import CuttingConfig, LabeledDataset, RawLabel, TimeSeries
 from chatterkit.errors import EvaluationError, PeakShortfall
 from chatterkit.featurize import (
     FeatureMatrix,
+    FeatureVector,
+    PipelineConfig,
     build_matrix,
     extract_features,
     feature_names,
     standardize,
 )
 from chatterkit import synthgen
+from chatterkit.transform import IndexedSequence, Kind
 
 
 @pytest.fixture(scope="module")
@@ -19,11 +22,11 @@ def chatter_ts():
 
 
 def test_five_peaks_gives_30_features(chatter_ts):
-    assert extract_features(chatter_ts, n_peaks=5).values.size == 30
+    assert extract_features(chatter_ts, PipelineConfig(n_peaks=5)).values.size == 30
 
 
 def test_two_peaks_gives_12_features(chatter_ts):
-    assert extract_features(chatter_ts, n_peaks=2).values.size == 12
+    assert extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values.size == 12
 
 
 def test_feature_name_layout():
@@ -39,7 +42,7 @@ def test_two_tone_fft_x_features(make_ts):
     t = np.arange(n) / rate
     x = np.sin(2 * np.pi * 200 * t) + 0.8 * np.sin(2 * np.pi * 900 * t)
     x += np.random.default_rng(1).normal(0, 0.01, n)
-    fv = extract_features(make_ts(x, rate=rate), n_peaks=2)
+    fv = extract_features(make_ts(x, rate=rate), PipelineConfig(n_peaks=2))
     bin_width = rate / 16384
     assert abs(fv.values[0] - 200) <= bin_width + 1e-9
     assert abs(fv.values[2] - 900) <= bin_width + 1e-9
@@ -51,21 +54,43 @@ def test_peak_shortfall_is_error(make_ts):
     t = np.arange(10000) / 10000.0
     x = np.sin(2 * np.pi * 500 * t)
     with pytest.raises(PeakShortfall) as err:
-        extract_features(make_ts(x), n_peaks=5, alpha=1.0)
+        extract_features(make_ts(x), PipelineConfig(n_peaks=5, alpha=1.0))
     assert err.value.found < err.value.requested
 
 
 def test_extract_deterministic(chatter_ts):
-    a = extract_features(chatter_ts, n_peaks=2).values
-    b = extract_features(chatter_ts, n_peaks=2).values
+    a = extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values
+    b = extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values
     assert np.array_equal(a, b)
+
+
+def test_feature_vector_size_checked():
+    with pytest.raises(EvaluationError, match="expected 12"):
+        FeatureVector(values=np.zeros(11), n_peaks=2, record_id="r", config_id="c")
+
+
+@pytest.mark.parametrize("build, attr", [
+    (lambda a: TimeSeries(a, 1000.0, CuttingConfig(1.0, 1.0, 1.0, "c"),
+                          RawLabel.STABLE), "samples"),
+    (lambda a: IndexedSequence(a, a, Kind.FFT), "ys"),
+    (lambda a: FeatureVector(values=a, n_peaks=1, record_id="r", config_id="c"),
+     "values"),
+    (lambda a: FeatureMatrix(X=a.reshape(1, -1), y=[0], feature_names=tuple("abcdef")),
+     "X"),
+], ids=["TimeSeries", "IndexedSequence", "FeatureVector", "FeatureMatrix"])
+def test_constructors_copy_their_input(build, attr):
+    x = np.arange(1.0, 7.0)
+    obj = build(x)
+    assert x.flags.writeable
+    x[0] = -1.0
+    assert getattr(obj, attr).ravel()[0] == 1.0
 
 
 class TestBuildMatrix:
     def test_shape_and_labels(self):
         spec = synthgen.SynthSpec(n_per_class=5, seed=1)
         ds = LabeledDataset(records=tuple(synthgen.make_config_records(spec)))
-        fm = build_matrix(ds, n_peaks=2)
+        fm = build_matrix(ds, PipelineConfig(n_peaks=2))
         assert fm.X.shape == (10, 12)
         assert list(fm.y) == [0, 1] * 5
         assert fm.excluded == ()
@@ -76,7 +101,8 @@ class TestBuildMatrix:
         from dataclasses import replace
 
         records[0] = replace(records[0], label=RawLabel.UNKNOWN)
-        fm = build_matrix(LabeledDataset(records=tuple(records)), n_peaks=2)
+        fm = build_matrix(LabeledDataset(records=tuple(records)),
+                          PipelineConfig(n_peaks=2))
         assert fm.X.shape[0] == 5
 
     def test_shortfall_rows_reported(self, make_ts):
@@ -87,7 +113,7 @@ class TestBuildMatrix:
         bad = make_ts(np.sin(2 * np.pi * 500 * t), label=RawLabel.CHATTER,
                       record_id="bad")
         fm = build_matrix(LabeledDataset(records=tuple(records + [bad])),
-                          n_peaks=5)
+                          PipelineConfig(n_peaks=5))
         assert any(rid == "bad" for rid, _ in fm.excluded)
         assert fm.X.shape == (4, 30)
 
@@ -95,7 +121,7 @@ class TestBuildMatrix:
         t = np.arange(64) / 10000.0
         bad = make_ts(np.sin(2 * np.pi * 500 * t), label=RawLabel.CHATTER)
         with pytest.raises(EvaluationError):
-            build_matrix(LabeledDataset(records=(bad,)), n_peaks=5)
+            build_matrix(LabeledDataset(records=(bad,)), PipelineConfig(n_peaks=5))
 
 
 class TestStandardize:

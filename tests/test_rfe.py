@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chatterkit import learn
+from chatterkit.errors import EvaluationError
 from chatterkit.rfe import (
     Ranking,
     best_subset_for_split,
@@ -49,7 +50,7 @@ def test_ranking_is_permutation(kind):
 
 
 def test_ranking_validates_permutation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(EvaluationError, match="not a permutation"):
         Ranking(order=(0, 0, 2), classifier="lr", seed=0)
 
 
@@ -102,7 +103,7 @@ class TestSelectBestK:
             model = learn.fit("lr", X_sub[tr], y_in[tr])
             return float(np.mean(model.predict(X_sub[te]) == y_in[te]))
 
-        best_k, best_acc = select_best_k(X, y, "lr", ranking, protocol)
+        best_k, best_acc = select_best_k(X, y, ranking, protocol)
         assert 1 <= best_k <= X.shape[1]
         cols = ranking.order[:best_k]
         assert 2 in cols
@@ -111,13 +112,13 @@ class TestSelectBestK:
     def test_tie_goes_to_smallest_k(self):
         X, y = planted(9, d=5)
         ranking = rank_features(X, y, "lr")
-        best_k, _ = select_best_k(X, y, "lr", ranking, lambda X_sub, y_in: 0.5)
+        best_k, _ = select_best_k(X, y, ranking, lambda X_sub, y_in: 0.5)
         assert best_k == 1
 
     def test_single_feature(self):
         X, y = planted(10, d=1)
         ranking = rank_features(X, y, "lr")
-        best_k, _ = select_best_k(X, y, "lr", ranking, lambda X_sub, y_in: 1.0)
+        best_k, _ = select_best_k(X, y, ranking, lambda X_sub, y_in: 1.0)
         assert best_k == 1
 
 
