@@ -42,23 +42,14 @@ def _config(args):
     return featurize.PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
-def _select(ds, config_id):
-    """The records of one config, or all of ds when config_id is empty."""
-    if not config_id:
-        return ds
-    groups = split_by_config(ds)
-    if config_id not in groups:
-        raise ChatterKitError(
-            f"dataset: config {config_id!r} not in manifest "
-            f"(have {sorted(groups)})"
-        )
-    return groups[config_id]
+def _load(args):
+    """The records of the --config-id group, or of the whole manifest."""
+    return load_manifest(args.manifest, [args.config_id] if args.config_id else None)
 
 
 def _features(args):
     """Feature matrix of the --config-id group (or the whole manifest)."""
-    ds = _select(load_manifest(args.manifest), args.config_id)
-    return featurize.build_matrix(ds, _config(args))
+    return featurize.build_matrix(_load(args), _config(args))
 
 
 def cmd_synth(args):
@@ -139,9 +130,10 @@ def cmd_cv(args):
 
 
 def cmd_transfer(args):
-    ds, cfg = load_manifest(args.manifest), _config(args)
-    groups = [_select(ds, cid) for cid in (args.source_config, args.target_config)]
-    source, target = (featurize.build_matrix(g, cfg) for g in groups)
+    config_ids = (args.source_config, args.target_config)
+    groups = split_by_config(load_manifest(args.manifest, config_ids))
+    cfg = _config(args)
+    source, target = (featurize.build_matrix(groups[cid], cfg) for cid in config_ids)
     result = evaluate.transfer_eval(
         source, target, args.classifier, use_rfe=args.rfe == "on", seed=args.seed
     )
@@ -171,8 +163,7 @@ def cmd_rank_report(args):
 
 
 def cmd_dump_transform(args):
-    ds = _select(load_manifest(args.manifest), args.config_id)
-    matches = [r for r in ds.records if r.record_id == args.record_id]
+    matches = [r for r in _load(args).records if r.record_id == args.record_id]
     if not matches:
         raise ChatterKitError(f"dataset: record {args.record_id!r} not found")
     rec = _config(args).to_working_rate(matches[0])

@@ -8,6 +8,7 @@ line, optionally with a non-numeric header line.
 
 import enum
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,7 +87,8 @@ def to_binary(label):
     return None
 
 
-def _read_signal(path):
+def _read_signal_lines(path):
+    """Parse a signal file line by line; the source of every parse error."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -104,8 +106,46 @@ def _read_signal(path):
     return np.array(values, dtype=float)
 
 
-def load_manifest(path):
-    """Load a JSON manifest and every signal file it references."""
+def _is_header(line):
+    """Whether line 1 is not a number (skipping a blank one is harmless too).
+
+    Strips like the line loop: float() alone keeps U+001C..U+001F.
+    """
+    try:
+        float(line.strip())
+    except ValueError:
+        return True
+    return False
+
+
+def _read_signal(path):
+    """The samples of a signal file as float64.
+
+    numpy parses the file in one call, skipping a non-numeric first line.
+    Anything it rejects or warns about (an empty file, `#`, `1_0`, two
+    values on a line) is parsed again by `_read_signal_lines`, which gives
+    the same values and raises the errors.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            skip = int(_is_header(fh.readline()))
+            fh.seek(0)
+            values = np.loadtxt(fh, comments=None, ndmin=2, skiprows=skip)
+        if values.shape[1] == 1:
+            return values.reshape(-1)
+    except (ValueError, UserWarning):
+        pass
+    return _read_signal_lines(path)
+
+
+def load_manifest(path, config_ids=None):
+    """Load a JSON manifest and the signal files of the configs asked for.
+
+    Every entry is validated (keys, label, file existence, cutting
+    parameters, config_id reuse); only the records of `config_ids`, in
+    manifest order, are parsed and returned. None means every config.
+    """
     path = Path(path)
     if not path.exists():
         raise ManifestError(f"manifest not found: {path}")
@@ -117,7 +157,7 @@ def load_manifest(path):
         raise ManifestError(f"{path}: manifest must be a JSON array")
 
     required = {"file", "sample_rate_hz", "overhang_cm", "rpm", "depth_cm", "label"}
-    records = []
+    valid = []  # (index, entry, label, signal path, config)
     seen_configs = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not required.issubset(entry):
@@ -144,16 +184,28 @@ def load_manifest(path):
                 f"{path}: entry {i}: config_id {config.config_id!r} reused "
                 "with different cutting parameters"
             )
-        records.append(
-            TimeSeries(
-                samples=_read_signal(sig_path),
-                sample_rate_hz=float(entry["sample_rate_hz"]),
-                config=config,
-                label=label,
-                record_id=entry.get("record_id", f"{path.name}[{i}]"),
+        valid.append((i, entry, label, sig_path, config))
+
+    if config_ids is None:
+        config_ids = list(seen_configs)
+    for config_id in config_ids:
+        if config_id not in seen_configs:
+            raise ManifestError(
+                f"dataset: config {config_id!r} not in manifest "
+                f"(have {sorted(seen_configs)})"
             )
+    records = tuple(
+        TimeSeries(
+            samples=_read_signal(sig_path),
+            sample_rate_hz=float(entry["sample_rate_hz"]),
+            config=config,
+            label=label,
+            record_id=entry.get("record_id", f"{path.name}[{i}]"),
         )
-    return LabeledDataset(records=tuple(records), manifest_path=str(path))
+        for i, entry, label, sig_path, config in valid
+        if config.config_id in config_ids
+    )
+    return LabeledDataset(records=records, manifest_path=str(path))
 
 
 def split_by_config(ds):

@@ -21,6 +21,10 @@ class NumericalInstabilityError(ChatterKitError):
     """A filter stage produced non-finite values."""
 
 
+class SynthSpecError(ChatterKitError):
+    """Synthetic corpus parameters break an invariant the generator relies on."""
+
+
 class TransformError(ChatterKitError):
     """A transform precondition was violated."""
 

@@ -49,17 +49,22 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
 def apply_filter(spec, ts):
     """Run a TimeSeries through the cascade, single-pass (causal).
 
-    Filters stage by stage so a numerical blow-up can be pinned to the
-    offending section.
+    One sosfilt call runs every stage; its output is bitwise that of
+    filtering stage by stage. Only a non-finite output is filtered again
+    stage by stage, to name the first stage that blew up.
     """
-    x = np.array(ts.samples, dtype=float)  # writable working copy
-    for k in range(spec.n_stages):
-        x = signal.sosfilt(spec.sos[k : k + 1].copy(), x)
-        if not np.all(np.isfinite(x)):
-            raise NumericalInstabilityError(
-                f"non-finite output at filter stage {k} of {spec.n_stages}"
-            )
-    return replace(ts, samples=x)
+    sos = spec.sos.copy()  # sosfilt needs writable coefficients
+    y = signal.sosfilt(sos, ts.samples)
+    if not np.all(np.isfinite(y)):
+        x = ts.samples
+        for k in range(spec.n_stages):
+            x = signal.sosfilt(sos[k : k + 1], x)
+            if not np.all(np.isfinite(x)):
+                break
+        raise NumericalInstabilityError(
+            f"non-finite output at filter stage {k} of {spec.n_stages}"
+        )
+    return replace(ts, samples=y)
 
 
 def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import CuttingConfig, LabeledDataset, RawLabel, TimeSeries
+from .errors import SynthSpecError
 from .seeds import derive
 
 AMP_JITTER = 0.1
@@ -42,8 +43,16 @@ class SynthSpec:
     depth_of_cut_cm: float = 0.0127
 
     def __post_init__(self):
-        assert self.chatter_freq_hz < self.sample_rate_hz / 2
-        assert self.chatter_amp > 3 * self.noise_std, "separability margin"
+        if not self.chatter_freq_hz < self.sample_rate_hz / 2:
+            raise SynthSpecError(
+                f"chatter_freq_hz {self.chatter_freq_hz} must lie below the "
+                f"Nyquist frequency {self.sample_rate_hz / 2} Hz (sample_rate_hz / 2)"
+            )
+        if not self.chatter_amp > 3 * self.noise_std:  # separability margin
+            raise SynthSpecError(
+                f"chatter_amp {self.chatter_amp} must exceed 3 x noise_std "
+                f"({3 * self.noise_std:g})"
+            )
 
     @property
     def config(self):
@@ -92,8 +101,10 @@ def make_config_records(spec):
 
 def make_dataset(spec_a, spec_b):
     """Two pseudo-configurations with distinct tone frequencies."""
-    assert spec_a.chatter_freq_hz != spec_b.chatter_freq_hz
-    assert spec_a.config_id != spec_b.config_id
+    if spec_a.chatter_freq_hz == spec_b.chatter_freq_hz:
+        raise SynthSpecError(f"both configs have chatter_freq_hz {spec_a.chatter_freq_hz}")
+    if spec_a.config_id == spec_b.config_id:
+        raise SynthSpecError(f"both configs have config_id {spec_a.config_id!r}")
     records = make_config_records(spec_a) + make_config_records(spec_b)
     return LabeledDataset(records=tuple(records), manifest_path="<synthetic>")
 

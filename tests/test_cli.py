@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import chatterkit
-from chatterkit import cli, preprocess, synthgen
+from chatterkit import cli, dataset, preprocess, synthgen
 from chatterkit.cli import main
 from chatterkit.dataset import load_manifest, split_by_config
 from chatterkit.featurize import build_matrix
@@ -129,6 +130,45 @@ def test_commands_load_once_and_decimate_only_what_they_use(corpus_20k, tmp_path
         assert sorted(ts.record_id for ts in decimated) == expected, argv[0]
 
 
+def test_commands_parse_only_the_configs_they_use(corpus_20k, tmp_path, monkeypatch):
+    ids = {cid: sorted(r.record_id for r in _group(corpus_20k, cid).records)
+           for cid in ("fast_a", "fast_b")}
+    parsed = _record_calls(monkeypatch, dataset, "_read_signal")
+    m, out = ["--manifest", str(corpus_20k)], ["--out", str(tmp_path / "out")]
+    runs = [
+        (["eval", *m, "--config-id", "fast_a", "--classifier", "lr", "--reps", "2"],
+         ids["fast_a"]),
+        (["transfer", *m, "--source-config", "fast_a", "--target-config", "fast_b",
+          "--classifier", "lr"], ids["fast_a"] + ids["fast_b"]),
+    ]
+    for argv, expected in runs:
+        parsed.clear()
+        assert main(argv + out) == 0
+        assert sorted(Path(p).stem for p in parsed) == expected, argv[0]
+
+
+def test_corrupt_signal_fails_only_commands_that_use_it(corpus_20k, tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_20k.parent, corpus)
+    bad = corpus / f"{_group(corpus_20k, 'fast_b').records[0].record_id}.csv"
+    with open(bad, "a", encoding="utf-8") as fh:
+        fh.write("oops\n")
+    n_lines = len(bad.read_text(encoding="utf-8").splitlines())
+    m, out = ["--manifest", str(corpus / "manifest.json")], ["--out", str(tmp_path / "r")]
+    eval_a = ["eval", *m, "--config-id", "fast_a", "--classifier", "lr", "--reps", "2"]
+    assert main(eval_a + out) == 0
+    failing = [
+        ["eval", *m, "--classifier", "lr", "--reps", "2"],
+        ["transfer", *m, "--source-config", "fast_a", "--target-config", "fast_b",
+         "--classifier", "lr"],
+    ]
+    for argv in failing:
+        capsys.readouterr()
+        assert main(argv + out) == 1, argv[0]
+        assert capsys.readouterr().err == (
+            f"error: {bad}: bad value on line {n_lines}: 'oops'\n"), argv[0]
+
+
 def test_mpd_flags_leave_library_defaults(corpus, tmp_path):
     assert main(["features", "--manifest", str(corpus), "--config-id", "synth_a",
                  "--mpd-fft", "3", "--mpd-acf", "7", "--mpd-psd", "2",
@@ -204,10 +244,14 @@ def test_transfer_report(corpus, tmp_path):
 
 
 def test_unknown_config_id(corpus, tmp_path, capsys):
-    rc = main(["eval", "--manifest", str(corpus), "--config-id", "synth_z",
-               "--out", str(tmp_path / "r.json")])
-    assert rc == 1
-    assert "synth_z" in capsys.readouterr().err
+    m, out = ["--manifest", str(corpus)], ["--out", str(tmp_path / "r.json")]
+    for argv in (["eval", *m, "--config-id", "synth_z"],
+                 ["transfer", *m, "--source-config", "synth_a",
+                  "--target-config", "synth_z"]):
+        assert main(argv + out) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset: config 'synth_z' not in manifest "
+            "(have ['synth_a', 'synth_b'])\n"), argv[0]
 
 
 def test_rank_report(corpus, tmp_path):

@@ -1,16 +1,116 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from chatterkit import dataset
 from chatterkit.dataset import (
     LabeledDataset,
     RawLabel,
+    _read_signal,
     load_manifest,
     split_by_config,
     to_binary,
 )
 from chatterkit.errors import ManifestError, SignalLoadError
+
+
+def _read_signal_reference(path):
+    """The line loop `_read_signal` replaced, unchanged: the reference."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                values.append(float(text))
+            except ValueError:
+                if lineno == 1:  # optional header
+                    continue
+                raise SignalLoadError(f"{path}: bad value on line {lineno}: {text!r}")
+    if not values:
+        raise SignalLoadError(f"{path}: no samples")
+    return np.array(values, dtype=float)
+
+
+def _outcome(read, path):
+    """float64 bits of what read(path) returns, or its exception, and warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = read(path)
+            result = (out.dtype, out.shape, out.view(np.int64).tolist())
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\x0b", "\x0c", "\xa0", "\x1c"])
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.floats(-1e3, 1e3, allow_nan=False).map(lambda v: f"{v:.6g}"),
+    st.sampled_from(["0", "-0", "+1e3", "1_0", "1e999", "nan", "-nan", "inf",
+                     "-inf", "Infinity", ".5", "5.", "1E-3", "0x10"]),
+)
+_OTHER_TEXT = st.sampled_from(["", "acceleration", "# comment", "1 2", "1\t2",
+                               "1,2", "a,b", "1.0.0", "--1", "1 #", "\ufeff1.0"])
+
+
+@st.composite
+def _signal_text(draw):
+    """A signal file: lines of floats, words, blanks and whitespace, any ending."""
+    lines = draw(st.lists(
+        st.one_of(_FLOAT_TEXT, _FLOAT_TEXT, _FLOAT_TEXT, _OTHER_TEXT), max_size=12))
+    if draw(st.booleans()):
+        lines = [draw(st.sampled_from(["header", "acceleration (m/s^2)", "t,x"]))] + lines
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(draw(_SPACE) + line + draw(_SPACE) + draw(ends) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_signal_text())
+def test_read_signal_matches_reference_loop(tmp_path, text):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want, _ = _outcome(_read_signal_reference, path)
+    assert _outcome(_read_signal, path) == (want, [])
+
+
+@pytest.mark.parametrize("text", [
+    "acceleration\r\n 0.1 \r\n\r\n\t-0.2\r\n",  # header, CRLF, blanks
+    "# comment\n0.1\n",                             # '#' is a header on line 1 only
+    "0.1\n# comment\n",
+    "0.1 0.2\n0.3 0.4\n",                            # two values on a line
+    "1_0\n+1e3\nnan\n-inf\n",                        # float() syntax loadtxt lacks
+    "",                                              # empty file
+    "acceleration\n",                                # header only
+    "\n\nacceleration\n0.1\n",                      # a header on line 3 is bad
+    "0.5\x1c\n0.5\n",                                # str.strip() drops U+001C, float() not
+])
+def test_read_signal_edge_cases_match_reference_loop(tmp_path, text):
+    path = tmp_path / "sig.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want, _ = _outcome(_read_signal_reference, path)
+    assert _outcome(_read_signal, path) == (want, [])
+
+
+def test_read_signal_parses_plain_files_without_the_line_loop(tmp_path, monkeypatch):
+    def line_loop(path):
+        raise AssertionError(f"line loop ran on {path}")
+
+    monkeypatch.setattr(dataset, "_read_signal_lines", line_loop)
+    cases = [("acceleration\r\n0.5\r\n\r\n -1e-3 \r\n", [0.5, -1e-3]),
+             ("1\n2\n3", [1.0, 2.0, 3.0])]
+    for text, want in cases:
+        path = tmp_path / "sig.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _read_signal(path).tolist() == want
 
 
 def write_corpus(tmp_path, entries):

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy import signal
 
-from chatterkit.errors import FilterDesignError
-from chatterkit.preprocess import apply_filter, decimate, design_butterworth_lowpass
+from chatterkit.errors import FilterDesignError, NumericalInstabilityError
+from chatterkit.preprocess import (
+    FilterSpec,
+    apply_filter,
+    decimate,
+    design_butterworth_lowpass,
+)
 from chatterkit.transform import amplitude_spectrum
 
 RATE = 160000.0
@@ -131,3 +137,34 @@ def test_inband_power_preserved(make_ts):
     p_in = np.mean(x[skip * 16 :] ** 2)
     p_out = np.mean(out.samples[skip:] ** 2)
     assert abs(p_out - p_in) / p_in < 0.02
+
+
+def _cascade_stage_by_stage(spec, x):
+    """The stage-by-stage loop one sosfilt call replaced: the reference."""
+    x = np.array(x, dtype=float)
+    for k in range(spec.n_stages):
+        x = signal.sosfilt(spec.sos[k : k + 1].copy(), x)
+    return x
+
+
+@pytest.mark.parametrize("rate,cutoff", [(160000.0, 4500.0), (160000.0, 60000.0),
+                                         (20000.0, 4500.0), (10000.0, 100.0)])
+def test_one_pass_filter_is_the_cascade_bit_for_bit(make_ts, rate, cutoff):
+    rng = np.random.default_rng(int(cutoff))
+    x = 1e3 * rng.normal(size=3000) + np.repeat([0.0, 5.0], 1500)  # noise and a step
+    ts = make_ts(x, rate=rate)
+    for order in range(2, 101, 2):
+        spec = design_butterworth_lowpass(cutoff, rate, order)
+        out = apply_filter(spec, ts).samples
+        assert np.all(np.isfinite(out)), order
+        want = _cascade_stage_by_stage(spec, x)
+        assert out.view(np.int64).tolist() == want.view(np.int64).tolist(), order
+
+
+@pytest.mark.parametrize("bad", [0, 2, 4])
+def test_blow_up_names_the_stage(make_ts, bad):
+    sos = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 1))  # five identity stages
+    sos[bad, 4] = -10.0  # y[n] = x[n] + 10 y[n-1]: overflows within 400 samples
+    spec = FilterSpec(cutoff_hz=1.0, order=10, sos=sos)
+    with pytest.raises(NumericalInstabilityError, match=f"stage {bad} of 5$"):
+        apply_filter(spec, make_ts(np.ones(1000)))

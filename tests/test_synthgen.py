@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chatterkit import synthgen
+from chatterkit.errors import SynthSpecError
 from chatterkit.dataset import RawLabel, load_manifest
 from chatterkit.peaks import min_peak_height
 from chatterkit.transform import amplitude_spectrum
@@ -75,10 +82,26 @@ def test_spec_pair_shifts_frequency_and_scale():
 
 
 def test_spec_validation():
-    with pytest.raises(AssertionError):
+    with pytest.raises(SynthSpecError, match="chatter_freq_hz 6000.0"):
         synthgen.SynthSpec(chatter_freq_hz=6000.0)  # above Nyquist
-    with pytest.raises(AssertionError):
+    with pytest.raises(SynthSpecError, match="chatter_amp 0.1"):
         synthgen.SynthSpec(chatter_amp=0.1, noise_std=0.1)
+    # the checks must not vanish with assert statements under python -O
+    env = dict(os.environ, PYTHONPATH=str(Path(synthgen.__file__).parents[1]))
+    code = ("from chatterkit.synthgen import SynthSpec; "
+            "SynthSpec(chatter_amp=0.1, noise_std=0.1, chatter_freq_hz=9000.0)")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "SynthSpecError: chatter_freq_hz 9000.0" in proc.stderr
+
+
+def test_dataset_configs_must_differ():
+    spec_a, spec_b = synthgen.default_spec_pair(seed=1)
+    with pytest.raises(SynthSpecError, match="chatter_freq_hz 800.0"):
+        synthgen.make_dataset(spec_a, replace(spec_b, chatter_freq_hz=800.0))
+    with pytest.raises(SynthSpecError, match="config_id 'synth_a'"):
+        synthgen.make_dataset(spec_a, replace(spec_b, config_id="synth_a"))
 
 
 def test_write_corpus_round_trip(tmp_path):
