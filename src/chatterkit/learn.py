@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import FitError
 from .featurize import Scaler, standardize
-from .trees import ClassificationTree, GradientBoosting, RandomForest, RegressionTree, _Node
+from .trees import GradientBoosting, RandomForest, Tree
 
 KINDS = ("svm", "lr", "rf", "gb")
 
@@ -28,18 +28,21 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def hinge_loss_subgrad(w, Z1, y_signed, lam):
-    """L2-regularized mean hinge loss and a subgradient.
+def hinge_subgrad(w, Z1, y_signed, lam):
+    """A subgradient of the L2-regularized mean hinge loss.
 
     Z1 carries an appended all-ones bias column; w includes the bias
     weight as its last component.
     """
-    n = y_signed.size
+    viol = y_signed * (Z1 @ w) < 1.0
+    return lam * w - (Z1[viol].T @ y_signed[viol]) / y_signed.size
+
+
+def hinge_loss_subgrad(w, Z1, y_signed, lam):
+    """L2-regularized mean hinge loss and hinge_subgrad at w."""
     margins = y_signed * (Z1 @ w)
     loss = 0.5 * lam * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margins)))
-    viol = margins < 1.0
-    grad = lam * w - (Z1[viol].T @ y_signed[viol]) / n
-    return loss, grad
+    return loss, hinge_subgrad(w, Z1, y_signed, lam)
 
 
 def logistic_loss_grad(w, b, Z, y_signed, lam):
@@ -60,8 +63,7 @@ def _fit_svm(Z, y_signed):
     Z1 = np.hstack([Z, np.ones((n, 1))])
     w = np.zeros(d + 1)
     for t in range(1, SVM_EPOCHS + 1):
-        _, grad = hinge_loss_subgrad(w, Z1, y_signed, lam)
-        w -= grad / (lam * t)
+        w -= hinge_subgrad(w, Z1, y_signed, lam) / (lam * t)
     return w
 
 
@@ -88,6 +90,16 @@ def _fit_lr(Z, y_signed):
             step *= 0.5
         w, b, loss, gw, gb = w_new, b_new, loss_new, gw_new, gb_new
     return w, b
+
+
+def _tree_entry(tree, **extra):
+    return {"root": tree.to_dict(), "importance": tree.importance_.tolist(), **extra}
+
+
+def _tree_from_entry(entry, gini):
+    tree = Tree.from_dict(entry["root"], gini)
+    tree.importance_ = np.array(entry["importance"])
+    return tree
 
 
 @dataclass(frozen=True)
@@ -150,20 +162,10 @@ class Model:
             doc["bias"] = self.impl[1]
         elif self.kind == "rf":
             doc["n_features"] = self.impl.n_features
-            doc["trees"] = [
-                {"root": t.root.to_dict(), "importance": t.importance_.tolist()}
-                for t in self.impl.trees
-            ]
+            doc["trees"] = [_tree_entry(t) for t in self.impl.trees]
         else:
             doc["base_score"] = self.impl.base_score
-            doc["stages"] = [
-                {
-                    "root": t.root.to_dict(),
-                    "scale": s,
-                    "importance": t.importance_.tolist(),
-                }
-                for t, s in self.impl.stages
-            ]
+            doc["stages"] = [_tree_entry(t, scale=s) for t, s in self.impl.stages]
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -178,23 +180,15 @@ class Model:
         elif kind == "lr":
             impl = (np.array(doc["weights"]), float(doc["bias"]))
         elif kind == "rf":
-            forest = RandomForest(n_trees=len(doc["trees"]), seed=doc["seed"])
-            forest.n_features = doc["n_features"]
-            for td in doc["trees"]:
-                tree = ClassificationTree()
-                tree.root = _Node.from_dict(td["root"])
-                tree.importance_ = np.array(td["importance"])
-                forest.trees.append(tree)
-            impl = forest
+            impl = RandomForest(n_trees=len(doc["trees"]), seed=doc["seed"])
+            impl.n_features = doc["n_features"]
+            impl.trees = [_tree_from_entry(td, gini=True) for td in doc["trees"]]
         elif kind == "gb":
-            gb = GradientBoosting()
-            gb.base_score = doc["base_score"]
-            for sd in doc["stages"]:
-                tree = RegressionTree()
-                tree.root = _Node.from_dict(sd["root"])
-                tree.importance_ = np.array(sd["importance"])
-                gb.stages.append((tree, sd["scale"]))
-            impl = gb
+            impl = GradientBoosting()
+            impl.base_score = doc["base_score"]
+            impl.stages = [
+                (_tree_from_entry(sd, gini=False), sd["scale"]) for sd in doc["stages"]
+            ]
         else:
             raise FitError(f"unknown classifier kind {kind!r}")
         return cls(
@@ -238,8 +232,3 @@ def fit(kind, X, y, seed=0, feature_names=None):
         scaler=scaler,
         impl=impl,
     )
-
-
-def fit_matrix(kind, fm, seed=0):
-    """fit() over a FeatureMatrix, carrying its column names."""
-    return fit(kind, fm.X, fm.y, seed=seed, feature_names=fm.feature_names)

@@ -12,8 +12,6 @@ import numpy as np
 STAGE_IDS = {
     "synth": 1,
     "split": 2,
-    "fit": 3,
-    "rfe": 4,
     "fold": 5,
     "transfer": 6,
 }

@@ -1,49 +1,23 @@
-"""Decision-tree ensembles: CART trees, random forest, gradient boosting.
+"""Decision-tree ensembles: one CART tree, random forest, gradient boosting.
 
-Both tree kinds share one split search, `_best_split`, which scores
-every threshold of every candidate column in a single vectorized pass
-(presorted split finding as in CART and SLIQ). Split search is
-deterministic: ties resolve to the first minimum in feature-major
-order: lowest feature index, then lowest threshold.
+`Tree` grows Gini trees on 0/1 labels (the forest) and squared-error
+trees on float targets (boosting) with one split search, `_best_split`,
+which scores every threshold of every candidate column in a single
+vectorized pass (presorted split finding as in CART and SLIQ). Split
+search is deterministic: ties resolve to the first minimum in
+feature-major order: lowest feature index, then lowest threshold.
+
+A fitted tree is five flat arrays indexed by node number: `feature`,
+`threshold`, `left`, `right` and `value`. Nodes are numbered in
+pre-order: the root is 0, a split node's left child is the next number
+and its right child comes after the whole left subtree. A row at split
+node i goes left when X[row, feature[i]] <= threshold[i]. A leaf has
+`left == right == feature == -1`. Every node, split or leaf, holds a
+`value`: the majority class (int) or the leaf value (float). `depth` is
+the longest root-to-leaf path, the number of steps `predict` takes.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class _Node:
-    value: float  # majority class (classification) or leaf value (regression)
-    feature: int = -1
-    threshold: float = 0.0
-    left: "._Node" = None
-    right: "._Node" = None
-
-    @property
-    def is_leaf(self):
-        return self.left is None
-
-    def to_dict(self):
-        if self.is_leaf:
-            return {"value": self.value}
-        return {
-            "value": self.value,
-            "feature": int(self.feature),
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        node = cls(value=d["value"])
-        if "feature" in d:
-            node.feature = d["feature"]
-            node.threshold = d["threshold"]
-            node.left = cls.from_dict(d["left"])
-            node.right = cls.from_dict(d["right"])
-        return node
 
 
 def _gini(n1, n):
@@ -90,14 +64,24 @@ def _best_split(X, t, features, gini):
     return float(score[j, i]), int(features[j]), float(threshold)
 
 
-class ClassificationTree:
-    """CART with Gini impurity; grows until pure or unsplittable."""
+class Tree:
+    """CART on flat pre-order node arrays.
 
-    def __init__(self, max_features=None, rng=None):
+    With `gini` the targets are 0/1 labels, leaves hold the majority
+    class and growth stops at pure nodes; otherwise the targets are
+    floats, leaves hold their mean (or the Newton step sum(t) / sum(h)
+    when hessians are given) and growth stops at constant targets.
+    `max_features` draws a sorted random subset of candidate columns
+    from `rng` at each node that is split.
+    """
+
+    def __init__(self, gini, max_features=None, max_depth=None, rng=None):
+        self.gini = gini
         self.max_features = max_features
+        self.max_depth = max_depth
         self.rng = rng
-        self.root = None
-        self.n_features = 0
+        self.feature = self.threshold = self.left = self.right = self.value = None
+        self.depth = 0
         self.importance_ = None
 
     def _candidate_features(self, d):
@@ -106,96 +90,119 @@ class ClassificationTree:
         picked = self.rng.choice(d, size=self.max_features, replace=False)
         return np.sort(picked)
 
-    def _build(self, X, y, n_total):
-        n = y.size
-        n1 = int(y.sum())
-        majority = 1 if n1 * 2 > n else 0
-        if n < 2 or n1 == 0 or n1 == n:
-            return _Node(value=majority)
-        best = _best_split(X, y, self._candidate_features(X.shape[1]), gini=True)
-        if best is None:
-            return _Node(value=majority)
-        child_gini, feature, threshold = best
-        decrease = (_gini(n1, n) - child_gini) * n / n_total
-        if decrease <= 0:
-            return _Node(value=majority)
-        self.importance_[feature] += decrease
-        mask = X[:, feature] <= threshold
-        node = _Node(value=majority, feature=feature, threshold=threshold)
-        node.left = self._build(X[mask], y[mask], n_total)
-        node.right = self._build(X[~mask], y[~mask], n_total)
-        return node
-
-    def fit(self, X, y):
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-        self.n_features = X.shape[1]
-        self.importance_ = np.zeros(self.n_features)
-        self.root = self._build(X, y, y.size)
-        return self
-
-    def predict(self, X):
-        X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0], dtype=int)
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
-
-
-class RegressionTree:
-    """Squared-error CART used as the gradient-boosting base learner."""
-
-    def __init__(self, max_depth=None):
-        self.max_depth = max_depth
-        self.root = None
-        self.importance_ = None
-
-    def _build(self, X, idx, t, h, depth, n_total):
+    def _build(self, X, t, h, idx, depth, nodes):
+        """Append the subtree over rows idx to nodes; return its root's index."""
         n = idx.size
-        if h is None:
-            leaf_value = float(t[idx].mean())
-        else:
-            denom = float(h[idx].sum())
-            leaf_value = float(t[idx].sum() / denom) if denom > 1e-12 else 0.0
-        if n < 2 or (self.max_depth is not None and depth >= self.max_depth):
-            return _Node(value=leaf_value)
         sub = t[idx]
-        if np.all(sub == sub[0]):
-            return _Node(value=leaf_value)
-        best = _best_split(X[idx], sub, np.arange(X.shape[1]), gini=False)
+        stop = n < 2 or (self.max_depth is not None and depth >= self.max_depth)
+        if self.gini:
+            n1 = int(sub.sum())
+            value = 1 if n1 * 2 > n else 0
+            stop = stop or n1 == 0 or n1 == n
+        else:
+            if h is None:
+                value = float(sub.mean())
+            else:
+                denom = float(h[idx].sum())
+                value = float(sub.sum() / denom) if denom > 1e-12 else 0.0
+            stop = stop or bool(np.all(sub == sub[0]))
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, value])
+        if stop:
+            return node
+        Xn = X.take(idx, axis=0)
+        best = _best_split(Xn, sub, self._candidate_features(X.shape[1]), self.gini)
         if best is None:
-            return _Node(value=leaf_value)
-        sse, feature, threshold = best
-        parent_sse = float(((sub - sub.mean()) ** 2).sum())
-        decrease = (parent_sse - sse) / n_total
+            return node
+        score, feature, threshold = best
+        if self.gini:
+            decrease = (_gini(n1, n) - score) * n / t.size
+        else:
+            decrease = (float(((sub - sub.mean()) ** 2).sum()) - score) / t.size
         if decrease <= 0:
-            return _Node(value=leaf_value)
+            return node
         self.importance_[feature] += decrease
-        mask = X[idx, feature] <= threshold
-        node = _Node(value=leaf_value, feature=feature, threshold=threshold)
-        node.left = self._build(X, idx[mask], t, h, depth + 1, n_total)
-        node.right = self._build(X, idx[~mask], t, h, depth + 1, n_total)
+        mask = Xn[:, feature] <= threshold
+        left = self._build(X, t, h, idx[mask], depth + 1, nodes)
+        right = self._build(X, t, h, idx[~mask], depth + 1, nodes)
+        nodes[node][:4] = feature, threshold, left, right
         return node
+
+    def _set_nodes(self, nodes):
+        feature, threshold, left, right, value = zip(*nodes)
+        self.feature = np.array(feature, dtype=np.intp)
+        self.threshold = np.array(threshold, dtype=float)
+        self.left = np.array(left, dtype=np.intp)
+        self.right = np.array(right, dtype=np.intp)
+        self.value = np.array(value, dtype=int if self.gini else float)
+        depth = [0] * len(nodes)  # pre-order: a parent comes before its children
+        for i, (lo, hi) in enumerate(zip(left, right)):
+            if lo >= 0:
+                depth[lo] = depth[hi] = depth[i] + 1
+        self.depth = max(depth)
 
     def fit(self, X, targets, hessians=None):
         X = np.asarray(X, dtype=float)
-        t = np.asarray(targets, dtype=float)
+        t = np.asarray(targets, dtype=int if self.gini else float)
         self.importance_ = np.zeros(X.shape[1])
-        self.root = self._build(X, np.arange(t.size), t, hessians, 0, t.size)
+        nodes = []
+        self._build(X, t, hessians, np.arange(t.size), 0, nodes)
+        self._set_nodes(nodes)
         return self
 
     def predict(self, X):
+        """Leaf values for all rows, moving every row down one level per step."""
         X = np.asarray(X, dtype=float)
-        out = np.empty(X.shape[0])
-        for i, row in enumerate(X):
-            node = self.root
-            while not node.is_leaf:
-                node = node.left if row[node.feature] <= node.threshold else node.right
-            out[i] = node.value
-        return out
+        node = np.zeros(X.shape[0], dtype=np.intp)
+        if self.depth:
+            # each row's next node from every node: one rows x nodes table,
+            # then one lookup per level; a leaf (feature -1 reads the last
+            # column) is overwritten to lead to itself
+            step = np.where(X[:, self.feature] <= self.threshold, self.left, self.right)
+            leaves = np.flatnonzero(self.left < 0)
+            step[:, leaves] = leaves
+            rows = np.arange(X.shape[0])
+            for _ in range(self.depth):
+                node = step[rows, node]
+        return self.value[node]
+
+    def to_dict(self):
+        """The tree as nested dicts: leaves {"value"}, splits also
+        {"feature", "threshold", "left", "right"}."""
+        feature, threshold, left, right, value = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
+        )
+
+        def nested(i):
+            if left[i] < 0:
+                return {"value": value[i]}
+            return {
+                "value": value[i],
+                "feature": feature[i],
+                "threshold": threshold[i],
+                "left": nested(left[i]),
+                "right": nested(right[i]),
+            }
+
+        return nested(0)
+
+    @classmethod
+    def from_dict(cls, d, gini):
+        """Rebuild the node arrays from to_dict() output (no importances)."""
+        tree = cls(gini)
+        nodes = []
+
+        def walk(d):
+            node = len(nodes)
+            nodes.append([-1, 0.0, -1, -1, d["value"]])
+            if "feature" in d:
+                left, right = walk(d["left"]), walk(d["right"])
+                nodes[node][:4] = d["feature"], d["threshold"], left, right
+            return node
+
+        walk(d)
+        tree._set_nodes(nodes)
+        return tree
 
 
 class RandomForest:
@@ -218,7 +225,7 @@ class RandomForest:
         for ss in children:
             rng = np.random.Generator(np.random.PCG64(ss))
             boot = rng.integers(0, n, size=n)
-            tree = ClassificationTree(max_features=max_features, rng=rng)
+            tree = Tree(gini=True, max_features=max_features, rng=rng)
             tree.fit(X[boot], y[boot])
             self.trees.append(tree)
         return self
@@ -274,7 +281,7 @@ class GradientBoosting:
             prob = 1.0 / (1.0 + np.exp(-F))
             residual = y - prob
             hessian = prob * (1.0 - prob)
-            tree = RegressionTree(max_depth=self.max_depth).fit(X, residual, hessian)
+            tree = Tree(gini=False, max_depth=self.max_depth).fit(X, residual, hessian)
             step = tree.predict(X)
             scale = self.learning_rate
             for _ in range(60):

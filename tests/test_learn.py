@@ -9,7 +9,7 @@ from chatterkit.learn import (
     hinge_loss_subgrad,
     logistic_loss_grad,
 )
-from chatterkit.trees import ClassificationTree, GradientBoosting, RandomForest
+from chatterkit.trees import GradientBoosting, RandomForest, Tree
 
 
 def separable_blobs(n=100, margin=1.0, seed=0, d=2):
@@ -56,7 +56,9 @@ def test_fit_deterministic(kind):
 def test_serialization_round_trip(kind):
     X, y = separable_blobs(40, seed=3, d=4)
     model = fit(kind, X, y, seed=9)
-    restored = Model.from_json(model.to_json())
+    text = model.to_json()
+    restored = Model.from_json(text)
+    assert restored.to_json() == text
     probe = np.random.default_rng(4).normal(size=(25, 4))
     assert np.array_equal(model.predict(probe), restored.predict(probe))
     assert np.allclose(model.decision_scores(probe), restored.decision_scores(probe))
@@ -226,7 +228,7 @@ def test_single_tree_matches_cart_oracle():
         y = rng.integers(0, 2, n)
         if len(np.unique(y)) < 2:
             continue
-        tree = ClassificationTree().fit(X, y)
+        tree = Tree(gini=True).fit(X, y)
         assert np.array_equal(tree.predict(X), oracle_cart(X, y))
 
 
@@ -263,9 +265,9 @@ def test_forest_seed_controls_bootstrap():
     f1 = RandomForest(n_trees=5, seed=1).fit(X, y)
     f2 = RandomForest(n_trees=5, seed=1).fit(X, y)
     f3 = RandomForest(n_trees=5, seed=2).fit(X, y)
-    d1 = [t.root.to_dict() for t in f1.trees]
-    d2 = [t.root.to_dict() for t in f2.trees]
-    d3 = [t.root.to_dict() for t in f3.trees]
+    d1 = [t.to_dict() for t in f1.trees]
+    d2 = [t.to_dict() for t in f2.trees]
+    d3 = [t.to_dict() for t in f3.trees]
     assert d1 == d2
     assert d1 != d3
 
