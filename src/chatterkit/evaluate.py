@@ -1,5 +1,8 @@
 """Experiment protocols: repeated splits, k-fold CV, transfer learning.
 
+`repeated_split_eval` and `kfold_cv` only draw (train, test) index
+pairs; one loop, `_resample`, fits and scores them, with or without RFE.
+
 All splits are stratified by the binary label and every random draw is
 derived from an explicit seed, so a whole experiment is reproducible
 bit-for-bit.
@@ -16,6 +19,9 @@ import numpy as np
 from . import learn, rfe
 from .errors import EvaluationError
 from .seeds import rng_for
+
+# stratified splits of the source on which transfer_eval's RFE picks k
+N_INTERNAL_SPLITS = 5
 
 
 @dataclass(frozen=True)
@@ -81,10 +87,6 @@ class TransferResult:
         }
 
 
-def _accuracy(model, X, y):
-    return float(np.mean(model.predict(X) == y))
-
-
 def stratified_split(y, test_frac, rng):
     """Class-preserving train/test index split (ratio kept within 1 row)."""
     train_idx, test_idx = [], []
@@ -95,6 +97,8 @@ def stratified_split(y, test_frac, rng):
         n_test = min(max(n_test, 1), members.size - 1)  # both sides non-empty
         test_idx.extend(perm[:n_test])
         train_idx.extend(perm[n_test:])
+    if not test_idx:
+        raise EvaluationError("no class has two rows, so none is left to test on")
     return np.sort(np.array(train_idx)), np.sort(np.array(test_idx))
 
 
@@ -112,109 +116,79 @@ def stratified_folds(y, k, rng):
     return [np.sort(np.array(f, dtype=int)) for f in folds]
 
 
-def _one_split_scores(fm, train_idx, test_idx, kind, use_rfe, seed):
-    Xtr, ytr = fm.X[train_idx], fm.y[train_idx]
-    Xte, yte = fm.X[test_idx], fm.y[test_idx]
-    if use_rfe:
-        subset, train_acc, test_acc = rfe.best_subset_for_split(
-            Xtr, ytr, Xte, yte, kind, seed=seed
-        )
-        return train_acc, test_acc, subset
-    model = learn.fit(kind, Xtr, ytr, seed=seed, feature_names=fm.feature_names)
-    return _accuracy(model, Xtr, ytr), _accuracy(model, Xte, yte), ()
+def _resample(fm, pairs, kind, use_rfe, seed, protocol, config_id):
+    """Fit and score each (train_idx, test_idx) pair of the lazy `pairs`."""
+    if len(np.unique(fm.y)) < 2:
+        raise EvaluationError("need both classes present")
+    per_rep, subsets = [], []
+    for train_idx, test_idx in pairs:
+        Xtr, ytr = fm.X[train_idx], fm.y[train_idx]
+        Xte, yte = fm.X[test_idx], fm.y[test_idx]
+        if use_rfe:
+            subset, train_acc, test_acc = rfe.best_subset_for_split(
+                Xtr, ytr, Xte, yte, kind, seed=seed
+            )
+            subsets.append(subset)
+        else:
+            model = learn.fit(kind, Xtr, ytr, seed=seed, feature_names=fm.feature_names)
+            train_acc, test_acc = model.accuracy(Xtr, ytr), model.accuracy(Xte, yte)
+        per_rep.append((train_acc, test_acc))
+    return EvalResult(per_rep=tuple(per_rep), protocol=protocol, classifier=kind,
+                      seed=int(seed), use_rfe=use_rfe, selected_subsets=tuple(subsets),
+                      config_id=config_id)
 
 
 def repeated_split_eval(fm, kind, use_rfe=False, n_rep=10, test_frac=0.33, seed=0,
                         config_id=""):
     """n_rep independent stratified 67/33 splits, aggregated mean +- std."""
-    if len(np.unique(fm.y)) < 2:
-        raise EvaluationError("need both classes present")
-    per_rep, subsets = [], []
-    for r in range(n_rep):
-        rng = rng_for(seed, "split", r)
-        for attempt in range(100):
-            train_idx, test_idx = stratified_split(fm.y, test_frac, rng)
-            if len(np.unique(fm.y[train_idx])) == 2:
-                break
-        else:
-            raise EvaluationError("could not draw a two-class training split")
-        train_acc, test_acc, subset = _one_split_scores(
-            fm, train_idx, test_idx, kind, use_rfe, seed
-        )
-        per_rep.append((train_acc, test_acc))
-        subsets.append(subset)
-    return EvalResult(
-        per_rep=tuple(per_rep),
-        protocol=f"repeated_split(n={n_rep},test_frac={test_frac})",
-        classifier=kind,
-        seed=int(seed),
-        use_rfe=use_rfe,
-        selected_subsets=tuple(subsets) if use_rfe else (),
-        config_id=config_id,
-    )
+    pairs = (stratified_split(fm.y, test_frac, rng_for(seed, "split", r))
+             for r in range(n_rep))
+    return _resample(fm, pairs, kind, use_rfe, seed,
+                     f"repeated_split(n={n_rep},test_frac={test_frac})", config_id)
 
 
 def kfold_cv(fm, kind, use_rfe=False, k=10, seed=0, config_id=""):
     """Stratified k-fold cross-validation."""
-    if len(np.unique(fm.y)) < 2:
-        raise EvaluationError("need both classes present")
-    rng = rng_for(seed, "fold")
-    folds = stratified_folds(fm.y, k, rng)
-    all_idx = np.arange(fm.n_rows)
-    per_rep, subsets = [], []
-    for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(all_idx, test_idx)
-        if len(np.unique(fm.y[train_idx])) < 2:
-            raise EvaluationError(f"fold {i}: training part is single-class")
-        if test_idx.size == 0:
-            raise EvaluationError(f"fold {i}: empty test fold")
-        train_acc, test_acc, subset = _one_split_scores(
-            fm, train_idx, test_idx, kind, use_rfe, seed
-        )
-        per_rep.append((train_acc, test_acc))
-        subsets.append(subset)
-    return EvalResult(
-        per_rep=tuple(per_rep),
-        protocol=f"kfold(k={k})",
-        classifier=kind,
-        seed=int(seed),
-        use_rfe=use_rfe,
-        selected_subsets=tuple(subsets) if use_rfe else (),
-        config_id=config_id,
-    )
+    def pairs():
+        all_idx = np.arange(fm.n_rows)
+        for i, test_idx in enumerate(stratified_folds(fm.y, k, rng_for(seed, "fold"))):
+            train_idx = np.setdiff1d(all_idx, test_idx)
+            if len(np.unique(fm.y[train_idx])) < 2:
+                raise EvaluationError(f"fold {i}: training part is single-class")
+            yield train_idx, test_idx
+
+    return _resample(fm, pairs(), kind, use_rfe, seed, f"kfold(k={k})", config_id)
 
 
-def transfer_eval(source, target, kind, use_rfe=False, seed=0,
-                  n_internal_splits=5):
+def transfer_eval(source, target, kind, use_rfe=False, seed=0):
     """Train on all source rows, score on all target rows.
 
-    With RFE the ranking is computed on all source rows and the subset
-    size is chosen by internal stratified splits of the source; target
-    rows never influence training, ranking, or scaling.
+    With RFE the ranking uses all source rows and the subset size is
+    chosen by mean accuracy on N_INTERNAL_SPLITS stratified splits of the
+    source; target rows never influence training, ranking, or scaling.
     """
     if tuple(source.feature_names) != tuple(target.feature_names):
         raise EvaluationError("source/target feature layouts differ")
     if len(np.unique(source.y)) < 2:
         raise EvaluationError("source has a single class")
-    cols = None
+    cols = slice(None)
     subset = ()
     if use_rfe:
         ranking = rfe.rank_features(source.X, source.y, kind, seed=seed)
+        inner = [stratified_split(source.y, 0.33, rng_for(seed, "transfer", r))
+                 for r in range(N_INTERNAL_SPLITS)]
 
-        def protocol(X_sub, y):
-            accs = []
-            for r in range(n_internal_splits):
-                rng = rng_for(seed, "transfer", r)
-                tr, te = stratified_split(y, 0.33, rng)
-                model = learn.fit(kind, X_sub[tr], y[tr], seed=seed)
-                accs.append(float(np.mean(model.predict(X_sub[te]) == y[te])))
-            return float(np.mean(accs))
+        def inner_accuracy(sub):
+            X, y = source.X[:, sub], source.y
+            return float(np.mean([
+                learn.fit(kind, X[tr], y[tr], seed=seed).accuracy(X[te], y[te])
+                for tr, te in inner
+            ]))
 
-        best_k, _ = rfe.select_best_k(source.X, source.y, ranking, protocol)
-        subset = tuple(ranking.order[:best_k])
+        best_k, _ = rfe.select_best_k(ranking, inner_accuracy)
+        subset = ranking.order[:best_k]
         cols = list(subset)
-    Xtr = source.X if cols is None else source.X[:, cols]
-    Xte = target.X if cols is None else target.X[:, cols]
+    Xtr, Xte = source.X[:, cols], target.X[:, cols]
     model = learn.fit(kind, Xtr, source.y, seed=seed)
     src_id = source.config_ids[0] if source.config_ids else "source"
     tgt_id = target.config_ids[0] if target.config_ids else "target"
@@ -223,8 +197,8 @@ def transfer_eval(source, target, kind, use_rfe=False, seed=0,
         target_config=tgt_id,
         classifier=kind,
         use_rfe=use_rfe,
-        train_accuracy=float(np.mean(model.predict(Xtr) == source.y)),
-        test_accuracy=float(np.mean(model.predict(Xte) == target.y)),
+        train_accuracy=model.accuracy(Xtr, source.y),
+        test_accuracy=model.accuracy(Xte, target.y),
         seed=int(seed),
         selected_subset=subset,
     )

@@ -15,16 +15,14 @@ from . import transform as tf
 from .dataset import to_binary
 from .errors import EvaluationError, PeakShortfall
 
-_KIND_PREFIX = {tf.Kind.FFT: "fft", tf.Kind.PSD: "psd", tf.Kind.ACF: "acf"}
-
 
 def feature_names(n_peaks):
     """Canonical column names: fft_p1_x, fft_p1_y, ..., acf_pK_y."""
     names = []
     for kind in (tf.Kind.FFT, tf.Kind.PSD, tf.Kind.ACF):
         for p in range(1, n_peaks + 1):
-            names.append(f"{_KIND_PREFIX[kind]}_p{p}_x")
-            names.append(f"{_KIND_PREFIX[kind]}_p{p}_y")
+            names.append(f"{kind.value}_p{p}_x")
+            names.append(f"{kind.value}_p{p}_y")
     return names
 
 
@@ -77,7 +75,7 @@ class FeatureVector:
 @dataclass(frozen=True)
 class FeatureMatrix:
     X: np.ndarray  # (n_rows, 6*n_peaks)
-    y: np.ndarray  # binary labels
+    y: np.ndarray  # binary labels, 0 or 1
     feature_names: tuple
     config_ids: tuple = ()
     record_ids: tuple = ()
@@ -90,6 +88,9 @@ class FeatureMatrix:
             raise EvaluationError("X/y shape mismatch")
         if len(self.feature_names) != self.X.shape[1]:
             raise EvaluationError("feature_names length != column count")
+        if not np.isin(self.y, (0, 1)).all():
+            raise EvaluationError(
+                f"labels must be 0 or 1, got {np.unique(self.y).tolist()}")
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 

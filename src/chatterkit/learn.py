@@ -139,6 +139,10 @@ class Model:
     def predict(self, X):
         return (self.decision_scores(X) > 0).astype(int)
 
+    def accuracy(self, X, y):
+        """Fraction of rows whose predicted label equals y."""
+        return float(np.mean(self.predict(X) == y))
+
     def importance(self):
         """Non-negative per-feature scores (|weight| or impurity decrease)."""
         if self.kind == "svm":

@@ -6,6 +6,7 @@ rate through a high-order Butterworth low-pass).
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy import signal
@@ -28,8 +29,13 @@ class FilterSpec:
         return self.sos.shape[0]
 
 
+@lru_cache(maxsize=16)
 def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
-    """Design a Butterworth low-pass as a cascade of second-order stages."""
+    """Design a Butterworth low-pass as a cascade of second-order stages.
+
+    Cached by its arguments (a design error is raised on every call), so
+    the returned `sos` is shared and read-only.
+    """
     nyquist = sample_rate_hz / 2.0
     if not 0 < cutoff_hz < nyquist:
         raise FilterDesignError(

@@ -4,6 +4,10 @@ One feature is removed per iteration: refit on the survivors, drop the
 one with the smallest importance (ties drop the highest original index),
 and repeat until one survives. The elimination order reversed is the
 ranking, best first.
+
+`select_best_k` is the one loop over the nested subsets of a ranking;
+each caller passes the score to pick by, and so decides which rows the
+choice may see.
 """
 
 from dataclasses import dataclass
@@ -47,34 +51,34 @@ def nested_subsets(ranking):
     return [tuple(ranking.order[:k]) for k in range(1, len(ranking.order) + 1)]
 
 
-def select_best_k(X, y, ranking, protocol):
-    """Pick the subset size maximizing the protocol's mean test accuracy.
+def select_best_k(ranking, score):
+    """(k, score) for the top-k ranked columns that score best.
 
-    `protocol(X_sub, y)` must return a mean test accuracy for the given
-    column subset. Ties go to the smallest k.
+    `score(cols)` scores a list of column indices. Ties go to the smallest k.
     """
-    best_k, best_acc = None, -1.0
+    best_k, best = None, None
     for k, subset in enumerate(nested_subsets(ranking), start=1):
-        acc = protocol(np.asarray(X)[:, list(subset)], y)
-        if acc > best_acc:
-            best_k, best_acc = k, acc
-    return best_k, best_acc
+        acc = score(list(subset))
+        if best_k is None or acc > best:
+            best_k, best = k, acc
+    return best_k, best
 
 
 def best_subset_for_split(X_train, y_train, X_test, y_test, kind, seed=0):
-    """Rank on the training rows, then score every nested subset.
+    """Rank on the training rows, then pick the nested subset by test accuracy.
 
     Returns (subset, train_accuracy, test_accuracy) for the subset with
     the highest test accuracy (ties to the smallest subset). Ranking
-    never sees the test rows.
+    never sees the test rows but the choice does, so the test accuracy
+    is an optimistic upper bound. One fit per subset.
     """
     ranking = rank_features(X_train, y_train, kind, seed=seed)
-    best = None
-    for subset in nested_subsets(ranking):
-        cols = list(subset)
+    train_acc = {}
+
+    def test_accuracy(cols):
         model = learn.fit(kind, X_train[:, cols], y_train, seed=seed)
-        train_acc = float(np.mean(model.predict(X_train[:, cols]) == y_train))
-        test_acc = float(np.mean(model.predict(X_test[:, cols]) == y_test))
-        if best is None or test_acc > best[2]:
-            best = (subset, train_acc, test_acc)
-    return best
+        train_acc[len(cols)] = model.accuracy(X_train[:, cols], y_train)
+        return model.accuracy(X_test[:, cols], y_test)
+
+    k, test_acc = select_best_k(ranking, test_accuracy)
+    return ranking.order[:k], train_acc[k], test_acc

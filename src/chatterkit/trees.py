@@ -115,6 +115,10 @@ class Tree:
         if best is None:
             return node
         score, feature, threshold = best
+        mask = Xn[:, feature] <= threshold
+        if not 0 < np.count_nonzero(mask) < n:
+            # the midpoint rounded onto a value or overflowed: no split
+            return node
         if self.gini:
             decrease = (_gini(n1, n) - score) * n / t.size
         else:
@@ -122,7 +126,6 @@ class Tree:
         if decrease <= 0:
             return node
         self.importance_[feature] += decrease
-        mask = Xn[:, feature] <= threshold
         left = self._build(X, t, h, idx[mask], depth + 1, nodes)
         right = self._build(X, t, h, idx[~mask], depth + 1, nodes)
         nodes[node][:4] = feature, threshold, left, right

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterkit import learn
 from chatterkit.errors import EvaluationError
@@ -64,6 +66,46 @@ class TestStratifiedSplit:
             stratified_folds(np.array([0, 1, 0, 1]), 1, rng)
         with pytest.raises(EvaluationError):
             stratified_folds(np.array([0, 1, 0, 1]), 5, rng)
+
+
+_LABELS = st.lists(st.integers(0, 1), min_size=1, max_size=40).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABELS, st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_stratified_split_properties(y, test_frac, seed):
+    if np.bincount(y).max() < 2:
+        with pytest.raises(EvaluationError, match="none is left to test on"):
+            stratified_split(y, test_frac, np.random.default_rng(seed))
+        return
+    tr, te = stratified_split(y, test_frac, np.random.default_rng(seed))
+    assert sorted(np.concatenate([tr, te]).tolist()) == list(range(y.size))
+    for cls in np.unique(y):
+        n_cls = int(np.sum(y == cls))
+        assert abs(int(np.sum(y[te] == cls)) - test_frac * n_cls) <= 1.0
+        # every class trains, so a two-class y always gives a two-class fit
+        assert cls in y[tr]
+        if n_cls >= 2:
+            assert cls in y[te]
+    again = stratified_split(y, test_frac, np.random.default_rng(seed))
+    assert tr.tolist() == again[0].tolist() and te.tolist() == again[1].tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LABELS.filter(lambda y: y.size >= 2), st.data(), st.integers(0, 2**32 - 1))
+def test_stratified_folds_properties(y, data, seed):
+    k = data.draw(st.integers(2, y.size))
+    folds = stratified_folds(y, k, np.random.default_rng(seed))
+    assert len(folds) == k
+    assert sorted(np.concatenate(folds).tolist()) == list(range(y.size))
+    sizes = [f.size for f in folds]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    for cls in np.unique(y):
+        n_cls = int(np.sum(y == cls))
+        for f in folds:
+            assert abs(int(np.sum(y[f] == cls)) - n_cls / k) < 1.0
+    again = stratified_folds(y, k, np.random.default_rng(seed))
+    assert [f.tolist() for f in folds] == [f.tolist() for f in again]
 
 
 class TestRepeatedSplit:

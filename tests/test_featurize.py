@@ -69,6 +69,13 @@ def test_feature_vector_size_checked():
         FeatureVector(values=np.zeros(11), n_peaks=2, record_id="r", config_id="c")
 
 
+@pytest.mark.parametrize("y", ([0, 1, 2], [1, 2, 1], [-1, 1, 1]))
+def test_feature_matrix_labels_are_binary(y):
+    with pytest.raises(EvaluationError, match="labels must be 0 or 1"):
+        FeatureMatrix(X=np.zeros((3, 1)), y=y, feature_names=("a",))
+    FeatureMatrix(X=np.zeros((3, 1)), y=[0, 0, 0], feature_names=("a",))
+
+
 @pytest.mark.parametrize("build, attr", [
     (lambda a: TimeSeries(a, 1000.0, CuttingConfig(1.0, 1.0, 1.0, "c"),
                           RawLabel.STABLE), "samples"),

@@ -59,6 +59,19 @@ def test_odd_order_rejected():
         design_butterworth_lowpass(5000, RATE, 99)
 
 
+def test_design_is_cached_and_errors_are_not():
+    spec = design_butterworth_lowpass(4321.0, RATE, 100)
+    assert design_butterworth_lowpass(4321.0, RATE, 100) is spec
+    assert not spec.sos.flags.writeable
+    with pytest.raises(ValueError):
+        spec.sos[0, 0] = 0.0
+    fresh = design_butterworth_lowpass.__wrapped__(4321.0, RATE, 100)
+    assert fresh.sos.tobytes() == spec.sos.tobytes()
+    for _ in range(2):
+        with pytest.raises(FilterDesignError, match="strictly inside"):
+            design_butterworth_lowpass(RATE, RATE, 100)
+
+
 def test_zero_signal_stays_zero(make_ts):
     spec = design_butterworth_lowpass(5000, RATE, 100)
     out = apply_filter(spec, make_ts(np.zeros(4096), rate=RATE))

@@ -85,25 +85,31 @@ def test_tree_ranking_invariant_to_monotone_transforms():
 
 
 class TestSelectBestK:
-    @staticmethod
-    def make_protocol(informative):
-        def protocol(X_sub, y):
-            # reward subsets containing the planted column, penalize size
-            score = 1.0 if X_sub.shape[1] > informative else 0.0
-            return score - 0.01 * X_sub.shape[1]
+    def test_scores_each_nested_prefix_once(self):
+        X, y = planted(7, d=6, informative=3)
+        ranking = rank_features(X, y, "lr")
+        seen = []
 
-        return protocol
+        def score(cols):
+            # reward subsets containing the planted column, penalize size
+            seen.append(cols)
+            return (1.0 if 3 in cols else 0.0) - 0.01 * len(cols)
+
+        best_k, best = select_best_k(ranking, score)
+        assert seen == [list(ranking.order[:k]) for k in range(1, 7)]
+        assert best_k == ranking.order.index(3) + 1
+        assert best == score(seen[best_k - 1])
 
     def test_planted_column_selected(self):
         X, y = planted(8, informative=2)
         ranking = rank_features(X, y, "lr")
+        tr, te = np.arange(0, 60), np.arange(60, 80)
 
-        def protocol(X_sub, y_in):
-            tr, te = np.arange(0, 60), np.arange(60, 80)
-            model = learn.fit("lr", X_sub[tr], y_in[tr])
-            return float(np.mean(model.predict(X_sub[te]) == y_in[te]))
+        def score(cols):
+            model = learn.fit("lr", X[tr][:, cols], y[tr])
+            return model.accuracy(X[te][:, cols], y[te])
 
-        best_k, best_acc = select_best_k(X, y, ranking, protocol)
+        best_k, best_acc = select_best_k(ranking, score)
         assert 1 <= best_k <= X.shape[1]
         cols = ranking.order[:best_k]
         assert 2 in cols
@@ -112,13 +118,13 @@ class TestSelectBestK:
     def test_tie_goes_to_smallest_k(self):
         X, y = planted(9, d=5)
         ranking = rank_features(X, y, "lr")
-        best_k, _ = select_best_k(X, y, ranking, lambda X_sub, y_in: 0.5)
+        best_k, _ = select_best_k(ranking, lambda cols: 0.5)
         assert best_k == 1
 
     def test_single_feature(self):
         X, y = planted(10, d=1)
         ranking = rank_features(X, y, "lr")
-        best_k, _ = select_best_k(X, y, ranking, lambda X_sub, y_in: 1.0)
+        best_k, _ = select_best_k(ranking, lambda cols: 1.0)
         assert best_k == 1
 
 

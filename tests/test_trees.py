@@ -309,21 +309,44 @@ def _tree_problem(draw, target):
     return X, t
 
 
-def _fit_both(fit_old, fit_new):
-    """(old, new) fitted trees, or (None, None) when both recurse without end.
+def _sides_taken(flat, X):
+    """{(split node, went left)} over the routes of the rows of X."""
+    taken = set()
+    for row in X:
+        i = 0
+        while flat.left[i] >= 0:
+            go_left = bool(row[flat.feature[i]] <= flat.threshold[i])
+            taken.add((i, go_left))
+            i = flat.left[i] if go_left else flat.right[i]
+    return taken
 
-    A split whose midpoint threshold rounds up to the upper of its two
-    values (adjacent floats, e.g. 0 and the smallest negative subnormal)
-    sends every row left, and the old builder then recurses on the same
-    rows until RecursionError. The new builder must behave the same.
+
+def _splits_both_ways(flat, X):
+    """Whether every split node sends some rows of X left and some right."""
+    splits = np.flatnonzero(flat.left >= 0).tolist()
+    return _sides_taken(flat, X) == {(i, side) for i in splits for side in (True, False)}
+
+
+def _fit_both(fit_old, fit_new, X, gini):
+    """(old, new) fitted trees, or (None, new) where the old one is degenerate.
+
+    A split whose midpoint threshold rounds onto one of its two values
+    (adjacent floats, e.g. 0 and the smallest negative subnormal) or
+    overflows to +-inf sends every row one way. The old tree code then
+    recursed on the same rows until RecursionError, or, where max_depth
+    or a new candidate draw ended that, kept a node with an empty child.
+    `Tree` now makes such a node a leaf: it must fit, and each of
+    its split nodes must send training rows both ways.
     """
     try:
         old = fit_old()
     except RecursionError:
-        with pytest.raises(RecursionError):
-            fit_new()
-        return None, None
-    return old, fit_new()
+        old = None
+    new = fit_new()
+    assert _splits_both_ways(new, X)
+    if old is None or not _splits_both_ways(Tree.from_dict(old.root.to_dict(), gini), X):
+        return None, new
+    return old, new
 
 
 def _assert_same_tree(old, new, X, gini):
@@ -357,6 +380,7 @@ def test_gini_tree_matches_reference(problem, data):
     old, new = _fit_both(
         lambda: ClassificationTree(max_features=max_features, rng=old_rng).fit(X, y),
         lambda: Tree(gini=True, max_features=max_features, rng=new_rng).fit(X, y),
+        X, gini=True,
     )
     if old is not None:
         _assert_same_tree(old, new, X, gini=True)
@@ -377,9 +401,32 @@ def test_regression_tree_matches_reference(problem, data):
     old, new = _fit_both(
         lambda: RegressionTree(max_depth=max_depth).fit(X, t, hessians),
         lambda: Tree(gini=False, max_depth=max_depth).fit(X, t, hessians),
+        X, gini=False,
     )
     if old is not None:
         _assert_same_tree(old, new, X, gini=False)
+
+
+# the threshold rounds up onto the upper value (0.0 and -5e-324), or the
+# sum of the two values overflows to +inf or -inf
+_DEGENERATE = [
+    ([0.0, -5e-324, 1.0, 0.0, -5e-324], [1, 0, 0, 1, 1]),
+    ([1.7e308, 1.7e308, 1.75e308, 1.75e308], [0, 0, 1, 1]),
+    ([-1.7e308, -1.7e308, -1.75e308, -1.75e308], [0, 0, 1, 1]),
+]
+
+
+@pytest.mark.parametrize("gini", (True, False))
+@pytest.mark.parametrize("column, y", _DEGENERATE)
+@pytest.mark.parametrize("max_depth", (None, 3))
+def test_split_sending_every_row_one_way_is_a_leaf(column, y, gini, max_depth):
+    X = np.array(column)[:, None]
+    target = np.array(y, dtype=int if gini else float)
+    tree = Tree(gini=gini, max_depth=max_depth).fit(X, target)
+    assert _splits_both_ways(tree, X)
+    assert np.isfinite(tree.value).all()
+    assert np.isfinite(tree.importance_).all()
+    assert tree.predict(X).shape == (X.shape[0],)
 
 
 def test_tree_node_arrays_are_pre_order():
