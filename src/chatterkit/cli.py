@@ -42,9 +42,10 @@ def _config(args):
     return featurize.PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
-def _load(args):
+def _load(args, record_ids=None):
     """The records of the --config-id group, or of the whole manifest."""
-    return load_manifest(args.manifest, [args.config_id] if args.config_id else None)
+    config_ids = [args.config_id] if args.config_id else None
+    return load_manifest(args.manifest, config_ids, record_ids)
 
 
 def _features(args):
@@ -163,10 +164,7 @@ def cmd_rank_report(args):
 
 
 def cmd_dump_transform(args):
-    matches = [r for r in _load(args).records if r.record_id == args.record_id]
-    if not matches:
-        raise ChatterKitError(f"dataset: record {args.record_id!r} not found")
-    rec = _config(args).to_working_rate(matches[0])
+    rec = _config(args).to_working_rate(_load(args, [args.record_id]).records[0])
     fn = {
         "fft": transform.amplitude_spectrum,
         "psd": transform.power_spectral_density,

@@ -139,12 +139,14 @@ def _read_signal(path):
     return _read_signal_lines(path)
 
 
-def load_manifest(path, config_ids=None):
-    """Load a JSON manifest and the signal files of the configs asked for.
+def load_manifest(path, config_ids=None, record_ids=None):
+    """Load a JSON manifest and the signal files of the records asked for.
 
     Every entry is validated (keys, label, file existence, cutting
-    parameters, config_id reuse); only the records of `config_ids`, in
-    manifest order, are parsed and returned. None means every config.
+    parameters, config_id reuse); only the records of `config_ids` that
+    are also in `record_ids`, in manifest order, are parsed and returned.
+    None means every config, or every record. Each of `config_ids` must be
+    in the manifest and then each of `record_ids` among those configs.
     """
     path = Path(path)
     if not path.exists():
@@ -157,7 +159,7 @@ def load_manifest(path, config_ids=None):
         raise ManifestError(f"{path}: manifest must be a JSON array")
 
     required = {"file", "sample_rate_hz", "overhang_cm", "rpm", "depth_cm", "label"}
-    valid = []  # (index, entry, label, signal path, config)
+    valid = []  # (record id, entry, label, signal path, config)
     seen_configs = {}
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not required.issubset(entry):
@@ -184,7 +186,8 @@ def load_manifest(path, config_ids=None):
                 f"{path}: entry {i}: config_id {config.config_id!r} reused "
                 "with different cutting parameters"
             )
-        valid.append((i, entry, label, sig_path, config))
+        record_id = entry.get("record_id", f"{path.name}[{i}]")
+        valid.append((record_id, entry, label, sig_path, config))
 
     if config_ids is None:
         config_ids = list(seen_configs)
@@ -194,16 +197,21 @@ def load_manifest(path, config_ids=None):
                 f"dataset: config {config_id!r} not in manifest "
                 f"(have {sorted(seen_configs)})"
             )
+    chosen = [v for v in valid if v[4].config_id in config_ids
+              and (record_ids is None or v[0] in record_ids)]
+    found = {v[0] for v in chosen}
+    for record_id in record_ids or ():
+        if record_id not in found:
+            raise ManifestError(f"dataset: record {record_id!r} not found")
     records = tuple(
         TimeSeries(
             samples=_read_signal(sig_path),
             sample_rate_hz=float(entry["sample_rate_hz"]),
             config=config,
             label=label,
-            record_id=entry.get("record_id", f"{path.name}[{i}]"),
+            record_id=record_id,
         )
-        for i, entry, label, sig_path, config in valid
-        if config.config_id in config_ids
+        for record_id, entry, label, sig_path, config in chosen
     )
     return LabeledDataset(records=records, manifest_path=str(path))
 

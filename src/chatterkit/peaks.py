@@ -71,9 +71,10 @@ def find_peaks(seq, constraints):
     if len(ys) < 3:
         return []
     mph = min_peak_height(seq, constraints.alpha)
-    candidates = [i for i in _local_maxima(ys) if ys[i] >= mph]
+    idx = _local_maxima(ys)
+    idx = idx[ys[idx] >= mph]
     # highest amplitude first; lower index wins ties
-    candidates.sort(key=lambda i: (-ys[i], i))
+    candidates = idx[np.lexsort((idx, -ys[idx]))].tolist()
     accepted = []
     for i in candidates:
         if len(accepted) == constraints.n_peaks:
@@ -81,4 +82,4 @@ def find_peaks(seq, constraints):
         if all(abs(i - j) >= constraints.mpd for j in accepted):
             accepted.append(i)
     accepted.sort()
-    return [Peak(x=float(seq.xs[i]), y=float(ys[i]), index=int(i)) for i in accepted]
+    return [Peak(x=float(seq.xs[i]), y=float(ys[i]), index=i) for i in accepted]

@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal
 
 from .errors import FilterDesignError, NumericalInstabilityError
 
@@ -34,8 +33,12 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
     """Design a Butterworth low-pass as a cascade of second-order stages.
 
     Cached by its arguments (a design error is raised on every call), so
-    the returned `sos` is shared and read-only.
+    the returned `sos` is shared and read-only. scipy.signal is imported
+    here and in apply_filter only: it is most of the package's import
+    time, and a record already at the working rate never needs it.
     """
+    from scipy import signal
+
     nyquist = sample_rate_hz / 2.0
     if not 0 < cutoff_hz < nyquist:
         raise FilterDesignError(
@@ -59,6 +62,8 @@ def apply_filter(spec, ts):
     filtering stage by stage. Only a non-finite output is filtered again
     stage by stage, to name the first stage that blew up.
     """
+    from scipy import signal
+
     sos = spec.sos.copy()  # sosfilt needs writable coefficients
     y = signal.sosfilt(sos, ts.samples)
     if not np.all(np.isfinite(y)):

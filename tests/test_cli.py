@@ -284,3 +284,33 @@ def test_dump_transform_unknown_record(corpus, tmp_path, capsys):
                "--out", str(tmp_path / "x.csv")])
     assert rc == 1
     assert "missing" in capsys.readouterr().err
+
+
+def test_dump_transform_parses_only_its_record(corpus_20k, tmp_path, monkeypatch,
+                                               capsys):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_20k.parent, corpus)
+    a, b = (_group(corpus_20k, cid).records for cid in ("fast_a", "fast_b"))
+    with open(corpus / f"{a[1].record_id}.csv", "a", encoding="utf-8") as fh:
+        fh.write("oops\n")
+    parsed = _record_calls(monkeypatch, dataset, "_read_signal")
+    m = ["--manifest", str(corpus / "manifest.json")]
+    out = ["--kind", "psd", "--out", str(tmp_path / "psd.csv")]
+    for config in ([], ["--config-id", "fast_a"]):
+        parsed.clear()
+        assert main(["dump-transform", *m, *config, "--record-id", a[0].record_id,
+                     *out]) == 0
+        assert [Path(p).stem for p in parsed] == [a[0].record_id]
+    failing = [
+        (["--config-id", "fast_z", "--record-id", "missing"],
+         "dataset: config 'fast_z' not in manifest (have ['fast_a', 'fast_b'])"),
+        (["--config-id", "fast_a", "--record-id", b[0].record_id],
+         f"dataset: record {b[0].record_id!r} not found"),
+        (["--record-id", "missing"], "dataset: record 'missing' not found"),
+    ]
+    for argv, message in failing:
+        parsed.clear()
+        capsys.readouterr()
+        assert main(["dump-transform", *m, *argv, *out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert parsed == []

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chatterkit.peaks import (
     Peak,
+    _local_maxima,
     PeakConstraints,
     find_peaks,
     kind_defaults,
@@ -31,6 +34,32 @@ def greedy_oracle(ys, mph, mpd, n_peaks):
         if all(abs(i - j) >= mpd for j in accepted):
             accepted.append(i)
     return sorted(accepted)
+
+
+def find_peaks_reference(seq, constraints):
+    """find_peaks as it was, filtering and sorting in Python."""
+    ys = seq.ys
+    if len(ys) < 3:
+        return []
+    mph = min_peak_height(seq, constraints.alpha)
+    candidates = [i for i in _local_maxima(ys) if ys[i] >= mph]
+    # highest amplitude first; lower index wins ties
+    candidates.sort(key=lambda i: (-ys[i], i))
+    accepted = []
+    for i in candidates:
+        if len(accepted) == constraints.n_peaks:
+            break
+        if all(abs(i - j) >= constraints.mpd for j in accepted):
+            accepted.append(i)
+    accepted.sort()
+    return [Peak(x=float(seq.xs[i]), y=float(ys[i]), index=int(i)) for i in accepted]
+
+
+# Few distinct levels make tied amplitudes and plateaus common.
+_LEVEL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 2.0, -1.0, np.nan]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
 
 
 class TestMinPeakHeight:
@@ -142,6 +171,24 @@ class TestFindPeaks:
         seq = IndexedSequence(np.arange(300.0), ys, Kind.ACF)
         peaks = find_peaks(seq, PeakConstraints(alpha=0.1, mpd=10, n_peaks=10))
         assert all(p.index != 0 for p in peaks)
+
+    @settings(max_examples=500, deadline=None)
+    @given(ys=st.lists(_LEVEL, max_size=60),
+           alpha=st.floats(0.0, 1.0),
+           mpd=st.one_of(st.integers(0, 5), st.integers(6, 1000)),
+           n_peaks=st.integers(1, 40))
+    def test_equals_python_reference(self, ys, alpha, mpd, n_peaks):
+        ys = np.array(ys, dtype=float)
+        if ys.size < 2:
+            ys = np.append(ys, [0.0, 1.0])[:2]
+        seq = seq_of(ys)
+        c = PeakConstraints(alpha=alpha, mpd=mpd, n_peaks=n_peaks)
+        got, want = find_peaks(seq, c), find_peaks_reference(seq, c)
+        assert got == want
+        assert [type(p.index) for p in got] == [int] * len(got)
+        # bitwise, so that 0.0 and -0.0 are told apart
+        assert [np.float64(p.y).tobytes() for p in got] == [
+            np.float64(p.y).tobytes() for p in want]
 
     def test_amplitude_tie_lower_index_wins(self):
         ys = np.array([0.0, 5.0, 0.0, 5.0, 0.0])

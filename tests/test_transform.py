@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import signal
 
 from chatterkit.errors import TransformError
 from chatterkit.transform import (
+    DEFAULT_PSD_SEGMENTS,
+    IndexedSequence,
     Kind,
     amplitude_spectrum,
     autocorrelation,
@@ -70,6 +75,78 @@ class TestPSD:
     def test_too_short(self, make_ts):
         with pytest.raises(TransformError):
             power_spectral_density(make_ts(np.ones(32)), nperseg=64)
+
+    @pytest.mark.parametrize("nperseg", [-1, 0, 1])
+    def test_segment_below_two_samples(self, make_ts, nperseg):
+        with pytest.raises(TransformError, match="nperseg must be >= 2"):
+            power_spectral_density(make_ts(np.ones(32)), nperseg=nperseg)
+
+
+def welch_reference(ts, nperseg=None):
+    """power_spectral_density as it was, on scipy.signal.welch."""
+    x = ts.samples
+    if nperseg is None:
+        # segment length giving DEFAULT_PSD_SEGMENTS half-overlapping segments
+        nperseg = max(8, 2 * x.size // (DEFAULT_PSD_SEGMENTS + 1))
+    if x.size < nperseg:
+        raise TransformError(
+            f"signal of {x.size} samples shorter than one segment ({nperseg})"
+        )
+    xs, ys = signal.welch(
+        x,
+        fs=ts.sample_rate_hz,
+        window="hann",
+        nperseg=nperseg,
+        noverlap=nperseg // 2,
+        detrend="constant",
+        scaling="density",
+    )
+    return IndexedSequence(xs, ys, Kind.PSD, meta={"nperseg": int(nperseg)})
+
+
+def _outcome(fn, ts, nperseg):
+    try:
+        seq = fn(ts, nperseg)
+    except TransformError as exc:
+        return str(exc)
+    return seq.xs.dtype, seq.xs.tobytes(), seq.ys.dtype, seq.ys.tobytes(), seq.meta
+
+
+@st.composite
+def _welch_case(draw):
+    """A signal and a segment length: default, odd, the whole signal or
+    too long; noise, a tone, a constant or zeros; lengths 8 to 40 000."""
+    n = draw(st.one_of(st.integers(8, 80), st.integers(81, 40_000)))
+    rate = draw(st.sampled_from([10_000.0, 20_000.0, 160_000.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["noise", "tone", "constant", "zeros"]))
+    if shape == "noise":
+        x = rng.normal(scale=draw(st.sampled_from([1e-3, 1.0, 250.0])), size=n)
+    elif shape == "tone":
+        x = np.sin(2 * np.pi * rng.uniform(10, rate / 2) * np.arange(n) / rate)
+    else:
+        x = np.full(n, 0.0 if shape == "zeros" else rng.uniform(-50, 50))
+    nperseg = draw(st.one_of(
+        st.none(), st.just(n), st.integers(2, n).map(lambda m: m | 1),
+        st.integers(2, n), st.integers(n + 1, n + 64)))
+    return x, rate, nperseg
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_welch_case())
+def test_psd_bitwise_equals_scipy_welch(make_ts, case):
+    x, rate, nperseg = case
+    ts = make_ts(x, rate=rate)
+    assert _outcome(power_spectral_density, ts, nperseg) == _outcome(
+        welch_reference, ts, nperseg)
+
+
+@pytest.mark.parametrize("n, nperseg", [(8, 8), (9, 9), (64, 64), (65, 33), (79, 8)])
+def test_psd_edge_lengths_equal_scipy_welch(make_ts, n, nperseg):
+    ts = make_ts(np.random.default_rng(n).normal(size=n))
+    assert _outcome(power_spectral_density, ts, nperseg) == _outcome(
+        welch_reference, ts, nperseg)
 
 
 class TestACF:
