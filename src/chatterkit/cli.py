@@ -18,6 +18,7 @@ from .dataset import load_manifest, split_by_config
 from .errors import ChatterKitError
 from .evaluate import _atomic_write
 
+
 def _log(msg):
     print(msg, file=sys.stderr)
 
@@ -48,9 +49,26 @@ def _load(args, record_ids=None):
     return load_manifest(args.manifest, config_ids, record_ids)
 
 
+def _matrix(ds, cfg):
+    """Feature matrix of a dataset, logging each record it excludes."""
+    fm = featurize.build_matrix(ds, cfg)
+    for rid, reason in fm.excluded:
+        _log(f"excluded {rid}: {reason}")
+    return fm
+
+
 def _features(args):
     """Feature matrix of the --config-id group (or the whole manifest)."""
-    return featurize.build_matrix(_load(args), _config(args))
+    cfg = _config(args)
+    return _matrix(_load(args), cfg)
+
+
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue())
 
 
 def cmd_synth(args):
@@ -66,16 +84,9 @@ def cmd_synth(args):
 
 def cmd_features(args):
     fm = _features(args)
-    for rid, reason in fm.excluded:
-        _log(f"excluded {rid}: {reason}")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(list(fm.feature_names) + ["label", "config_id"])
-    for i in range(fm.n_rows):
-        writer.writerow(
-            [repr(float(v)) for v in fm.X[i]] + [int(fm.y[i]), fm.config_ids[i]]
-        )
-    _atomic_write(args.features_out, buf.getvalue())
+    _write_csv(args.features_out, list(fm.feature_names) + ["label", "config_id"],
+               ([repr(float(v)) for v in x] + [int(y), config_id]
+                for x, y, config_id in zip(fm.X, fm.y, fm.config_ids)))
     _log(f"wrote {fm.n_rows} x {fm.n_features} matrix to {args.features_out}")
     return 0
 
@@ -103,62 +114,56 @@ def _check_report(path):
     return 0
 
 
+def _report(args, result, summary, check=False):
+    """Write the one-result JSON report to --out and log its summary line."""
+    evaluate.emit_report([result], args.out)
+    _log(summary)
+    return _check_report(args.out) if check else 0
+
+
 def cmd_eval(args):
-    fm = _features(args)
     result = evaluate.repeated_split_eval(
-        fm, args.classifier, use_rfe=args.rfe == "on",
+        _features(args), args.classifier, use_rfe=args.rfe == "on",
         n_rep=args.reps, test_frac=args.test_frac, seed=args.seed,
         config_id=args.config_id or "",
     )
-    evaluate.emit_report([result], args.out, fmt="json")
-    _log(f"{args.classifier} rfe={args.rfe}: "
-         f"test {result.mean_test:.3f} +- {result.std_test:.3f}")
-    if args.check:
-        return _check_report(args.out)
-    return 0
+    return _report(args, result, f"{args.classifier} rfe={args.rfe}: "
+                   f"test {result.mean_test:.3f} +- {result.std_test:.3f}", args.check)
 
 
 def cmd_cv(args):
-    fm = _features(args)
     result = evaluate.kfold_cv(
-        fm, args.classifier, use_rfe=args.rfe == "on",
+        _features(args), args.classifier, use_rfe=args.rfe == "on",
         k=args.folds, seed=args.seed, config_id=args.config_id or "",
     )
-    evaluate.emit_report([result], args.out, fmt="json")
-    _log(f"{args.classifier} {args.folds}-fold: "
-         f"test {result.mean_test:.3f} +- {result.std_test:.3f}")
-    return 0
+    return _report(args, result, f"{args.classifier} {args.folds}-fold: "
+                   f"test {result.mean_test:.3f} +- {result.std_test:.3f}")
 
 
 def cmd_transfer(args):
+    cfg = _config(args)
     config_ids = (args.source_config, args.target_config)
     groups = split_by_config(load_manifest(args.manifest, config_ids))
-    cfg = _config(args)
-    source, target = (featurize.build_matrix(groups[cid], cfg) for cid in config_ids)
+    source, target = (_matrix(groups[cid], cfg) for cid in config_ids)
     result = evaluate.transfer_eval(
         source, target, args.classifier, use_rfe=args.rfe == "on", seed=args.seed
     )
-    evaluate.emit_report([result], args.out, fmt="json")
-    _log(f"{args.classifier} {args.source_config}->{args.target_config}: "
-         f"test {result.test_accuracy:.3f}")
-    return 0
+    return _report(args, result, f"{args.classifier} {args.source_config}->"
+                   f"{args.target_config}: test {result.test_accuracy:.3f}")
 
 
 def cmd_rank_report(args):
     fm = _features(args)
-    ranking = rfe.rank_features(fm.X, fm.y, args.classifier, seed=args.seed)
     result = evaluate.repeated_split_eval(
         fm, args.classifier, use_rfe=True, n_rep=args.reps, seed=args.seed,
         config_id=args.config_id or "",
     )
+    ranking = rfe.rank_features(fm.X, fm.y, args.classifier, seed=args.seed)
     counts = evaluate.ranking_frequency(result.selected_subsets, fm.n_features)
     rank_of = {idx: pos + 1 for pos, idx in enumerate(ranking.order)}
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["feature_name", "rank", "selection_count"])
-    for i, name in enumerate(fm.feature_names):
-        writer.writerow([name, rank_of[i], int(counts[i])])
-    _atomic_write(args.out, buf.getvalue())
+    _write_csv(args.out, ["feature_name", "rank", "selection_count"],
+               ([name, rank_of[i], int(counts[i])]
+                for i, name in enumerate(fm.feature_names)))
     _log(f"wrote ranking report to {args.out}")
     return 0
 
@@ -171,12 +176,8 @@ def cmd_dump_transform(args):
         "acf": transform.autocorrelation,
     }[args.kind]
     seq = fn(rec)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "y"])
-    for x, y in zip(seq.xs, seq.ys):
-        writer.writerow([repr(float(x)), repr(float(y))])
-    _atomic_write(args.out, buf.getvalue())
+    _write_csv(args.out, ["x", "y"],
+               ([repr(float(x)), repr(float(y))] for x, y in zip(seq.xs, seq.ys)))
     _log(f"wrote {len(seq)} {args.kind} points to {args.out}")
     return 0
 
@@ -199,55 +200,57 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_synth)
 
-    def experiment_parser(name, help_text):
+    def data_parser(name, help_text, fn, peak_flags=True):
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--manifest", required=True)
-        q.add_argument("--classifier", choices=learn.KINDS, default="rf")
-        q.add_argument("--rfe", choices=("on", "off"), default="off")
-        q.add_argument("--seed", type=int, default=0)
-        _add_pipeline_flags(q, peak_flags=True)
+        _add_pipeline_flags(q, peak_flags)
+        q.set_defaults(fn=fn)
         return q
 
-    p = experiment_parser("features", "dump the feature matrix as CSV")
+    def add_model_flags(q, rfe_flag=True):
+        q.add_argument("--classifier", choices=learn.KINDS, default="rf")
+        if rfe_flag:
+            q.add_argument("--rfe", choices=("on", "off"), default="off")
+        q.add_argument("--seed", type=int, default=0)
+
+    p = data_parser("features", "dump the feature matrix as CSV", cmd_features)
     p.add_argument("--config-id", default=None)
     p.add_argument("--features-out", required=True)
-    p.set_defaults(fn=cmd_features)
 
-    p = experiment_parser("eval", "repeated stratified-split evaluation")
+    p = data_parser("eval", "repeated stratified-split evaluation", cmd_eval)
+    add_model_flags(p)
     p.add_argument("--config-id", default=None)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--test-frac", type=float, default=0.33)
     p.add_argument("--out", required=True)
     p.add_argument("--check", action="store_true",
                    help="validate the emitted report (exit 2 on failure)")
-    p.set_defaults(fn=cmd_eval)
 
-    p = experiment_parser("cv", "stratified k-fold cross-validation")
+    p = data_parser("cv", "stratified k-fold cross-validation", cmd_cv)
+    add_model_flags(p)
     p.add_argument("--config-id", default=None)
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_cv)
 
-    p = experiment_parser("transfer", "train on one config, test on another")
+    p = data_parser("transfer", "train on one config, test on another", cmd_transfer)
+    add_model_flags(p)
     p.add_argument("--source-config", required=True)
     p.add_argument("--target-config", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_transfer)
 
-    p = experiment_parser("rank-report", "feature ranking and selection counts")
+    p = data_parser("rank-report", "RFE feature ranking and selection counts",
+                    cmd_rank_report)
+    add_model_flags(p, rfe_flag=False)
     p.add_argument("--config-id", default=None)
     p.add_argument("--reps", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_rank_report)
 
-    p = sub.add_parser("dump-transform", help="emit one transform as x,y CSV")
-    p.add_argument("--manifest", required=True)
+    p = data_parser("dump-transform", "emit one transform as x,y CSV",
+                    cmd_dump_transform, peak_flags=False)
     p.add_argument("--config-id", default=None)
     p.add_argument("--record-id", required=True)
     p.add_argument("--kind", choices=("fft", "psd", "acf"), required=True)
     p.add_argument("--out", required=True)
-    _add_pipeline_flags(p, peak_flags=False)
-    p.set_defaults(fn=cmd_dump_transform)
 
     return parser
 

@@ -60,7 +60,6 @@ class TimeSeries:
 @dataclass(frozen=True)
 class LabeledDataset:
     records: tuple
-    manifest_path: str = ""
 
     def __len__(self):
         return len(self.records)
@@ -213,7 +212,7 @@ def load_manifest(path, config_ids=None, record_ids=None):
         )
         for record_id, entry, label, sig_path, config in chosen
     )
-    return LabeledDataset(records=records, manifest_path=str(path))
+    return LabeledDataset(records=records)
 
 
 def split_by_config(ds):
@@ -221,7 +220,4 @@ def split_by_config(ds):
     groups = {}
     for rec in ds.records:
         groups.setdefault(rec.config.config_id, []).append(rec)
-    return {
-        cid: LabeledDataset(records=tuple(recs), manifest_path=ds.manifest_path)
-        for cid, recs in groups.items()
-    }
+    return {cid: LabeledDataset(records=tuple(recs)) for cid, recs in groups.items()}

@@ -5,6 +5,10 @@ class ChatterKitError(Exception):
     """Base class for all errors raised by chatterkit."""
 
 
+class ConfigError(ChatterKitError):
+    """A pipeline setting lies outside its valid range."""
+
+
 class ManifestError(ChatterKitError):
     """Manifest is missing, malformed, or references bad entries."""
 

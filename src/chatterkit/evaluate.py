@@ -8,7 +8,6 @@ derived from an explicit seed, so a whole experiment is reproducible
 bit-for-bit.
 """
 
-import csv
 import json
 import os
 import tempfile
@@ -141,6 +140,10 @@ def _resample(fm, pairs, kind, use_rfe, seed, protocol, config_id):
 def repeated_split_eval(fm, kind, use_rfe=False, n_rep=10, test_frac=0.33, seed=0,
                         config_id=""):
     """n_rep independent stratified 67/33 splits, aggregated mean +- std."""
+    if n_rep < 1:
+        raise EvaluationError(f"n_rep={n_rep}, need at least one split")
+    if not 0.0 < test_frac < 1.0:
+        raise EvaluationError(f"test_frac={test_frac} must lie in (0, 1)")
     pairs = (stratified_split(fm.y, test_frac, rng_for(seed, "split", r))
              for r in range(n_rep))
     return _resample(fm, pairs, kind, use_rfe, seed,
@@ -226,21 +229,7 @@ def _atomic_write(path, text):
         raise
 
 
-def emit_report(results, path, fmt="json"):
-    """Write EvalResult/TransferResult rows as JSON or CSV, atomically."""
+def emit_report(results, path):
+    """Write EvalResult/TransferResult rows as a JSON report, atomically."""
     rows = [r.as_row() for r in results]
-    if fmt == "json":
-        _atomic_write(path, json.dumps({"results": rows}, indent=2, sort_keys=True) + "\n")
-    elif fmt == "csv":
-        header = sorted({key for row in rows for key in row})
-        import io
-
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=header)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-        _atomic_write(path, buf.getvalue())
-    else:
-        raise EvaluationError(f"unknown report format {fmt!r}")
-    return path
+    _atomic_write(path, json.dumps({"results": rows}, indent=2, sort_keys=True) + "\n")

@@ -13,7 +13,7 @@ from . import peaks as pk
 from . import preprocess
 from . import transform as tf
 from .dataset import to_binary
-from .errors import EvaluationError, PeakShortfall
+from .errors import ConfigError, EvaluationError, PeakShortfall
 
 
 def feature_names(n_peaks):
@@ -31,7 +31,8 @@ class PipelineConfig:
     """Every setting between a raw record and its feature vector.
 
     Each field is the CLI flag of the same name, defaults included.
-    cutoff_hz None means 0.9x the target Nyquist.
+    cutoff_hz None means 0.9x the target Nyquist. A value out of its
+    range raises ConfigError.
     """
 
     target_rate_hz: float = 10000.0
@@ -42,6 +43,18 @@ class PipelineConfig:
     mpd_fft: int = 500
     mpd_acf: int = 1000
     mpd_psd: int = 0
+
+    def __post_init__(self):
+        for name, ok, rule in (
+            ("target_rate_hz", self.target_rate_hz > 0, "> 0"),
+            ("alpha", 0.0 <= self.alpha <= 1.0, "in [0, 1]"),
+            ("n_peaks", self.n_peaks >= 1, ">= 1"),
+            ("mpd_fft", self.mpd_fft >= 0, ">= 0"),
+            ("mpd_acf", self.mpd_acf >= 0, ">= 0"),
+            ("mpd_psd", self.mpd_psd >= 0, ">= 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
     def peak_constraints(self, kind):
         mpd = {tf.Kind.FFT: self.mpd_fft, tf.Kind.ACF: self.mpd_acf,

@@ -106,7 +106,7 @@ def make_dataset(spec_a, spec_b):
     if spec_a.config_id == spec_b.config_id:
         raise SynthSpecError(f"both configs have config_id {spec_a.config_id!r}")
     records = make_config_records(spec_a) + make_config_records(spec_b)
-    return LabeledDataset(records=tuple(records), manifest_path="<synthetic>")
+    return LabeledDataset(records=tuple(records))
 
 
 def default_spec_pair(seed=0, freq_a=800.0, freq_b=1600.0, n_per_class=30,

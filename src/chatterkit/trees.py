@@ -239,9 +239,6 @@ class RandomForest:
             votes += tree.predict(X)
         return votes / len(self.trees)
 
-    def predict(self, X):
-        return (self.vote_fraction(X) > 0.5).astype(int)
-
     def importance(self):
         total = np.zeros(self.n_features)
         for tree in self.trees:
@@ -306,9 +303,6 @@ class GradientBoosting:
         for tree, scale in self.stages:
             F += scale * tree.predict(X)
         return F
-
-    def predict(self, X):
-        return (self.decision_function(X) > 0).astype(int)
 
     def importance(self):
         d = self.stages[0][0].importance_.size if self.stages else 0

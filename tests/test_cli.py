@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import chatterkit
-from chatterkit import cli, dataset, preprocess, synthgen
+from chatterkit import cli, dataset, featurize, preprocess, synthgen
 from chatterkit.cli import main
 from chatterkit.dataset import load_manifest, split_by_config
+from chatterkit.errors import PeakShortfall
 from chatterkit.featurize import build_matrix
 from chatterkit.peaks import kind_defaults
 from chatterkit.transform import Kind
@@ -71,6 +73,107 @@ def test_no_command_is_usage_error():
 
 def test_unknown_flag_is_usage_error():
     assert main(["synth", "--bogus"]) == 1
+
+
+def test_removed_flags_are_usage_errors(corpus, tmp_path):
+    m = ["--manifest", str(corpus), "--config-id", "synth_a"]
+    for argv in (["features", *m, "--features-out", str(tmp_path / "f.csv")],
+                 ["rank-report", *m, "--out", str(tmp_path / "r.csv")]):
+        flags = ([["--classifier", "lr"], ["--rfe", "on"], ["--seed", "1"]]
+                 if argv[0] == "features" else [["--rfe", "off"]])
+        for flag in flags:
+            assert main(argv + flag) == 1, (argv[0], flag)
+    assert not any(tmp_path.iterdir())
+
+
+def test_every_declared_option_is_read(corpus, tmp_path):
+    """Each subcommand reads every option it declares: none is accepted and ignored."""
+    record_id = json.loads(corpus.read_text())[0]["record_id"]
+    m, a = ["--manifest", str(corpus)], ["--config-id", "synth_a"]
+    out = ["--out", str(tmp_path / "out")]
+    argvs = {
+        "synth": ["--out-dir", str(tmp_path / "synth"), "--n", "2"],
+        "features": [*m, *a, "--features-out", str(tmp_path / "f.csv")],
+        "eval": [*m, *a, "--classifier", "lr", "--reps", "2", "--check", *out],
+        "cv": [*m, *a, "--classifier", "lr", "--folds", "3", *out],
+        "transfer": [*m, "--source-config", "synth_a", "--target-config", "synth_b",
+                     "--classifier", "lr", *out],
+        "rank-report": [*m, *a, "--classifier", "lr", "--reps", "2", *out],
+        "dump-transform": [*m, "--record-id", record_id, "--kind", "acf", *out],
+    }
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(argvs) == set(subparsers)
+    unread = {}
+    for name, argv in argvs.items():
+        args = parser.parse_args([name, *argv])
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, attr):
+                reads.add(attr)
+                return super().__getattribute__(attr)
+
+        assert args.fn(Recording(**vars(args))) == 0, name
+        declared = {action.dest for action in subparsers[name]._actions
+                    if action.option_strings and action.dest != "help"}
+        if declared - reads:
+            unread[name] = sorted(declared - reads)
+    assert unread == {}
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("eval", "--alpha", "2", "alpha"),
+    ("eval", "--n-peaks", "0", "n_peaks"),
+    ("eval", "--mpd-fft", "-1", "mpd_fft"),
+    ("eval", "--target-rate-hz", "0", "target_rate_hz"),
+    ("eval", "--reps", "0", "n_rep"),
+    ("eval", "--test-frac", "1.5", "test_frac"),
+    ("eval", "--test-frac", "0", "test_frac"),
+    ("rank-report", "--reps", "0", "n_rep"),
+])
+def test_bad_setting_is_an_error_not_a_traceback(corpus, tmp_path, command, flag, value,
+                                                 field):
+    out = tmp_path / "report"
+    env = dict(os.environ, PYTHONPATH=str(Path(chatterkit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chatterkit.cli", command, "--manifest", str(corpus),
+         "--config-id", "synth_a", "--classifier", "lr", flag, value, "--out", str(out)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("error: ") and field in last, proc.stderr
+    assert not out.exists()
+
+
+def test_every_matrix_command_logs_its_exclusions(corpus, tmp_path, monkeypatch, capsys):
+    dropped = {_group(corpus, cid).records[0].record_id for cid in ("synth_a", "synth_b")}
+    extract = featurize.extract_features
+
+    def short_of_peaks(ts, cfg):
+        if ts.record_id in dropped:
+            raise PeakShortfall("fft", 1, cfg.n_peaks)
+        return extract(ts, cfg)
+
+    monkeypatch.setattr(featurize, "extract_features", short_of_peaks)
+    m, out = ["--manifest", str(corpus)], ["--out", str(tmp_path / "out")]
+    runs = [
+        ["features", *m, "--features-out", str(tmp_path / "f.csv")],
+        ["eval", *m, "--classifier", "lr", "--reps", "2", *out],
+        ["cv", *m, "--classifier", "lr", "--folds", "3", *out],
+        ["rank-report", *m, "--classifier", "lr", "--reps", "2", *out],
+        ["transfer", *m, "--source-config", "synth_a", "--target-config", "synth_b",
+         "--classifier", "lr", *out],
+    ]
+    for argv in runs:
+        capsys.readouterr()
+        assert main(argv) == 0, argv[0]
+        logged = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("excluded ")]
+        assert sorted(logged) == sorted(
+            f"excluded {rid}: fft: found 1 peaks, requested 2" for rid in dropped), argv[0]
 
 
 def test_missing_manifest_is_runtime_error(tmp_path, capsys):

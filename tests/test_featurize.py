@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chatterkit.dataset import CuttingConfig, LabeledDataset, RawLabel, TimeSeries
-from chatterkit.errors import EvaluationError, PeakShortfall
+from chatterkit.errors import ConfigError, EvaluationError, PeakShortfall
 from chatterkit.featurize import (
     FeatureMatrix,
     FeatureVector,
@@ -91,6 +91,21 @@ def test_constructors_copy_their_input(build, attr):
     assert x.flags.writeable
     x[0] = -1.0
     assert getattr(obj, attr).ravel()[0] == 1.0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("target_rate_hz", 0.0), ("target_rate_hz", -10000.0), ("target_rate_hz", np.nan),
+    ("alpha", 2.0), ("alpha", -0.1), ("alpha", np.nan), ("n_peaks", 0),
+    ("mpd_fft", -1), ("mpd_acf", -1), ("mpd_psd", -1),
+])
+def test_config_out_of_range(field, value):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        PipelineConfig(**{field: value})
+
+
+def test_config_range_ends_are_valid():
+    for alpha in (0.0, 1.0):
+        PipelineConfig(alpha=alpha, n_peaks=1, mpd_fft=0, mpd_acf=0, mpd_psd=0)
 
 
 class TestBuildMatrix:
