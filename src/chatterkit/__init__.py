@@ -12,7 +12,7 @@ from .dataset import (  # noqa: F401
     to_binary,
 )
 from .errors import ChatterKitError, PeakShortfall  # noqa: F401
-from .featurize import FeatureMatrix, FeatureVector, PipelineConfig, build_matrix, extract_features  # noqa: F401,E501
-from .peaks import Peak, PeakConstraints, find_peaks, kind_defaults, min_peak_height  # noqa: F401
+from .featurize import FeatureMatrix, PipelineConfig, build_matrix, extract_features  # noqa: F401
+from .peaks import Peak, PeakConstraints, find_peaks, min_peak_height  # noqa: F401
 from .preprocess import apply_filter, decimate, design_butterworth_lowpass  # noqa: F401
 from .transform import amplitude_spectrum, autocorrelation, power_spectral_density  # noqa: F401

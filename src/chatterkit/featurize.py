@@ -52,6 +52,10 @@ class PipelineConfig:
             ("mpd_fft", self.mpd_fft >= 0, ">= 0"),
             ("mpd_acf", self.mpd_acf >= 0, ">= 0"),
             ("mpd_psd", self.mpd_psd >= 0, ">= 0"),
+            ("cutoff_hz", self.cutoff_hz is None or 0 < self.cutoff_hz < self.target_rate_hz / 2,
+             f"None or in (0, {self.target_rate_hz / 2}), below the working Nyquist"),
+            ("filter_order", self.filter_order >= 2 and self.filter_order % 2 == 0,
+             "even and >= 2"),
         ):
             if not ok:
                 raise ConfigError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -62,27 +66,15 @@ class PipelineConfig:
         return pk.PeakConstraints(alpha=self.alpha, mpd=mpd, n_peaks=self.n_peaks)
 
     def to_working_rate(self, ts):
-        """Decimate a record captured above the working rate; pass others through."""
-        if ts.sample_rate_hz <= self.target_rate_hz:
+        """Pass a record at the working rate through; decimate one captured above it.
+
+        A record below the working rate raises FilterDesignError.
+        """
+        if ts.sample_rate_hz == self.target_rate_hz:
             return ts
         return preprocess.decimate(
             ts, self.target_rate_hz, cutoff_hz=self.cutoff_hz, order=self.filter_order
         )
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    n_peaks: int
-    record_id: str
-    config_id: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.array(self.values, dtype=float))
-        if self.values.size != 6 * self.n_peaks:
-            raise EvaluationError(f"record {self.record_id!r}: {self.values.size} "
-                                  f"values, expected {6 * self.n_peaks}")
-        self.values.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -119,8 +111,9 @@ class FeatureMatrix:
 def extract_features(ts, cfg=PipelineConfig()):
     """Transform one record at the working rate into its peak-coordinate vector.
 
-    Raises PeakShortfall if any of the three transforms yields fewer
-    than cfg.n_peaks admissible peaks; coordinates are never padded.
+    Returns the 6 * cfg.n_peaks coordinates as a float array. Raises
+    PeakShortfall if any of the three transforms yields fewer than
+    cfg.n_peaks admissible peaks; coordinates are never padded.
     """
     sequences = (
         tf.amplitude_spectrum(ts),
@@ -134,12 +127,7 @@ def extract_features(ts, cfg=PipelineConfig()):
             raise PeakShortfall(seq.kind.value, len(found), cfg.n_peaks)
         for p in found[: cfg.n_peaks]:
             values.extend((p.x, p.y))
-    return FeatureVector(
-        values=values,
-        n_peaks=cfg.n_peaks,
-        record_id=ts.record_id,
-        config_id=ts.config.config_id,
-    )
+    return np.array(values)
 
 
 def build_matrix(ds, cfg=PipelineConfig()):
@@ -149,17 +137,19 @@ def build_matrix(ds, cfg=PipelineConfig()):
     (PipelineConfig.to_working_rate). Rows hitting a peak shortfall are
     dropped and reported in FeatureMatrix.excluded rather than padded.
     """
+    learnable = ds.learnable
+    if not learnable:
+        raise EvaluationError("no learnable records")
     rows, labels, config_ids, record_ids, excluded = [], [], [], [], []
-    for rec in ds.learnable:
+    for rec in learnable:
         try:
-            fv = extract_features(cfg.to_working_rate(rec), cfg)
+            rows.append(extract_features(cfg.to_working_rate(rec), cfg))
         except PeakShortfall as exc:
             excluded.append((rec.record_id, str(exc)))
             continue
-        rows.append(fv.values)
         labels.append(to_binary(rec.label))
-        config_ids.append(fv.config_id)
-        record_ids.append(fv.record_id)
+        config_ids.append(rec.config.config_id)
+        record_ids.append(rec.record_id)
     if not rows:
         raise EvaluationError("no usable rows after exclusions")
     return FeatureMatrix(

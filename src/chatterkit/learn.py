@@ -15,6 +15,7 @@ from .featurize import Scaler, standardize
 from .trees import GradientBoosting, RandomForest, Tree
 
 KINDS = ("svm", "lr", "rf", "gb")
+LINEAR_KINDS = ("svm", "lr")
 
 SVM_C = 1.0
 SVM_EPOCHS = 500
@@ -57,14 +58,17 @@ def logistic_loss_grad(w, b, Z, y_signed, lam):
 
 
 def _fit_svm(Z, y_signed):
-    """Full-batch subgradient descent on the hinge objective (1/(lam*t) steps)."""
+    """Full-batch subgradient descent on the hinge objective (1/(lam*t) steps).
+
+    Trains the weights and bias as one packed vector; returns (w, b).
+    """
     n, d = Z.shape
     lam = 1.0 / (SVM_C * n)
     Z1 = np.hstack([Z, np.ones((n, 1))])
     w = np.zeros(d + 1)
     for t in range(1, SVM_EPOCHS + 1):
         w -= hinge_subgrad(w, Z1, y_signed, lam) / (lam * t)
-    return w
+    return w[:-1], w[-1]
 
 
 def _fit_lr(Z, y_signed):
@@ -108,7 +112,7 @@ class Model:
     feature_names: tuple
     seed: int
     scaler: Scaler  # None for tree models
-    impl: object  # fitted state; depends on kind
+    impl: object  # (w, b) for a linear kind, else the fitted ensemble
 
     def _check_width(self, X):
         X = np.asarray(X, dtype=float)
@@ -124,16 +128,9 @@ class Model:
         X = self._check_width(X)
         if X.shape[0] == 0:
             return np.zeros(0)
-        if self.kind == "svm":
-            Z = self.scaler.transform(X)
-            w = self.impl
-            return Z @ w[:-1] + w[-1]
-        if self.kind == "lr":
-            Z = self.scaler.transform(X)
+        if self.kind in LINEAR_KINDS:
             w, b = self.impl
-            return Z @ w + b
-        if self.kind == "rf":
-            return self.impl.vote_fraction(X) - 0.5
+            return self.scaler.transform(X) @ w + b
         return self.impl.decision_function(X)
 
     def predict(self, X):
@@ -145,9 +142,7 @@ class Model:
 
     def importance(self):
         """Non-negative per-feature scores (|weight| or impurity decrease)."""
-        if self.kind == "svm":
-            return np.abs(self.impl[:-1])
-        if self.kind == "lr":
+        if self.kind in LINEAR_KINDS:
             return np.abs(self.impl[0])
         return self.impl.importance()
 
@@ -159,8 +154,8 @@ class Model:
             "seed": self.seed,
             "scaler": self.scaler.to_dict() if self.scaler else None,
         }
-        if self.kind == "svm":
-            doc["weights"] = self.impl.tolist()
+        if self.kind == "svm":  # the bias is the last weight
+            doc["weights"] = np.append(*self.impl).tolist()
         elif self.kind == "lr":
             doc["weights"] = self.impl[0].tolist()
             doc["bias"] = self.impl[1]
@@ -180,11 +175,12 @@ class Model:
         kind = doc["kind"]
         scaler = Scaler.from_dict(doc["scaler"]) if doc["scaler"] else None
         if kind == "svm":
-            impl = np.array(doc["weights"])
+            packed = np.array(doc["weights"])
+            impl = (packed[:-1], packed[-1])
         elif kind == "lr":
             impl = (np.array(doc["weights"]), float(doc["bias"]))
         elif kind == "rf":
-            impl = RandomForest(n_trees=len(doc["trees"]), seed=doc["seed"])
+            impl = RandomForest(seed=doc["seed"])
             impl.n_features = doc["n_features"]
             impl.trees = [_tree_from_entry(td, gini=True) for td in doc["trees"]]
         elif kind == "gb":
@@ -221,14 +217,14 @@ def fit(kind, X, y, seed=0, feature_names=None):
     y_signed = 2.0 * y - 1.0
 
     scaler = None
-    if kind in ("svm", "lr"):
+    if kind in LINEAR_KINDS:
         scaler = standardize(X)
         Z = scaler.transform(X)
         impl = _fit_svm(Z, y_signed) if kind == "svm" else _fit_lr(Z, y_signed)
     elif kind == "rf":
-        impl = RandomForest(n_trees=100, seed=seed).fit(X, y)
+        impl = RandomForest(seed=seed).fit(X, y)
     else:
-        impl = GradientBoosting(n_rounds=100, learning_rate=0.1, max_depth=3).fit(X, y)
+        impl = GradientBoosting().fit(X, y)
     return Model(
         kind=kind,
         feature_names=tuple(feature_names),

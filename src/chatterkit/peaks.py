@@ -40,13 +40,6 @@ class Peak:
     index: int
 
 
-def kind_defaults(kind):
-    """Default PipelineConfig constraints: MPD FFT 500, ACF 1000, PSD none."""
-    from .featurize import PipelineConfig  # featurize imports this module
-
-    return PipelineConfig().peak_constraints(kind)
-
-
 def min_peak_height(seq, alpha):
     """Percentile-anchored amplitude threshold."""
     if not 0.0 <= alpha <= 1.0:

@@ -87,8 +87,8 @@ def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):
     factor = ts.sample_rate_hz / target_rate_hz
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise FilterDesignError(
-            f"decimation factor {factor} is not a positive integer "
-            f"({ts.sample_rate_hz} Hz -> {target_rate_hz} Hz)"
+            f"record {ts.record_id!r}: decimation factor {factor} is not a positive "
+            f"integer ({ts.sample_rate_hz} Hz -> {target_rate_hz} Hz)"
         )
     factor = int(round(factor))
     if factor == 1:

@@ -21,8 +21,6 @@ from .errors import EvaluationError
 @dataclass(frozen=True)
 class Ranking:
     order: tuple  # permutation of feature indices, best-ranked first
-    classifier: str
-    seed: int
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
@@ -42,8 +40,7 @@ def rank_features(X, y, kind, seed=0):
         # among minimal-importance survivors, drop the highest original index
         drop_pos = max(i for i in range(len(imp)) if imp[i] == worst)
         eliminated.append(surviving.pop(drop_pos))
-    order = tuple(surviving + eliminated[::-1])
-    return Ranking(order=order, classifier=kind, seed=int(seed))
+    return Ranking(order=tuple(surviving + eliminated[::-1]))
 
 
 def nested_subsets(ranking):

@@ -43,6 +43,8 @@ class SynthSpec:
     depth_of_cut_cm: float = 0.0127
 
     def __post_init__(self):
+        if not self.n_per_class >= 1:
+            raise SynthSpecError(f"n_per_class {self.n_per_class} must be >= 1")
         if not self.chatter_freq_hz < self.sample_rate_hz / 2:
             raise SynthSpecError(
                 f"chatter_freq_hz {self.chatter_freq_hz} must lie below the "

@@ -124,6 +124,10 @@ def autocorrelation(ts, max_lag=None):
         max_lag = min(n - 1, DEFAULT_MAX_LAG)
     if not 0 < max_lag < n:
         raise TransformError(f"max_lag {max_lag} out of range (0, {n})")
+    # mean removal can leave a constant signal a few ulps off zero, so
+    # test the samples themselves
+    if x.min() == x.max():
+        raise TransformError("constant signal has no defined autocorrelation")
     x = x - x.mean()
     nfft = _next_pow2(2 * n)
     spec = np.fft.rfft(x, nfft)

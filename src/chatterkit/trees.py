@@ -19,6 +19,13 @@ the longest root-to-leaf path, the number of steps `predict` takes.
 
 import numpy as np
 
+# Every fit uses these: 100 bagged trees (Breiman 2001), and 100 boosting
+# rounds of depth-3 trees at rate 0.1 (Friedman 2001).
+N_TREES = 100
+GB_ROUNDS = 100
+GB_LEARNING_RATE = 0.1
+GB_MAX_DEPTH = 3
+
 
 def _gini(n1, n):
     p1 = n1 / n
@@ -211,8 +218,7 @@ class Tree:
 class RandomForest:
     """Bagged Gini trees with sqrt(d) feature subsampling per split."""
 
-    def __init__(self, n_trees=100, seed=0):
-        self.n_trees = n_trees
+    def __init__(self, seed=0):
         self.seed = seed
         self.trees = []
         self.n_features = 0
@@ -223,7 +229,7 @@ class RandomForest:
         n, d = X.shape
         self.n_features = d
         max_features = int(np.ceil(np.sqrt(d)))
-        children = np.random.SeedSequence(self.seed).spawn(self.n_trees)
+        children = np.random.SeedSequence(self.seed).spawn(N_TREES)
         self.trees = []
         for ss in children:
             rng = np.random.Generator(np.random.PCG64(ss))
@@ -233,11 +239,12 @@ class RandomForest:
             self.trees.append(tree)
         return self
 
-    def vote_fraction(self, X):
+    def decision_function(self, X):
+        """Fraction of trees voting 1, less 0.5."""
         votes = np.zeros(np.asarray(X).shape[0])
         for tree in self.trees:
             votes += tree.predict(X)
-        return votes / len(self.trees)
+        return votes / len(self.trees) - 0.5
 
     def importance(self):
         total = np.zeros(self.n_features)
@@ -255,10 +262,7 @@ class GradientBoosting:
     increase the training log-loss, which keeps the loss non-increasing.
     """
 
-    def __init__(self, n_rounds=100, learning_rate=0.1, max_depth=3):
-        self.n_rounds = n_rounds
-        self.learning_rate = learning_rate
-        self.max_depth = max_depth
+    def __init__(self):
         self.base_score = 0.0
         self.stages = []  # (tree, scale) pairs
         self.loss_history_ = []
@@ -277,13 +281,13 @@ class GradientBoosting:
         loss = self._logloss(F, y_signed)
         self.stages = []
         self.loss_history_ = [loss]
-        for _ in range(self.n_rounds):
+        for _ in range(GB_ROUNDS):
             prob = 1.0 / (1.0 + np.exp(-F))
             residual = y - prob
             hessian = prob * (1.0 - prob)
-            tree = Tree(gini=False, max_depth=self.max_depth).fit(X, residual, hessian)
+            tree = Tree(gini=False, max_depth=GB_MAX_DEPTH).fit(X, residual, hessian)
             step = tree.predict(X)
-            scale = self.learning_rate
+            scale = GB_LEARNING_RATE
             for _ in range(60):
                 new_loss = self._logloss(F + scale * step, y_signed)
                 if new_loss <= loss:

@@ -74,7 +74,7 @@ def test_criterion_1_feature_cardinality():
     ts = synthgen.make_signal(1, synthgen.SynthSpec(seed=3), 0)
     from chatterkit.featurize import extract_features
 
-    assert extract_features(ts, PipelineConfig(n_peaks=2)).values.size == 12
+    assert extract_features(ts, PipelineConfig(n_peaks=2)).size == 12
     assert time.time() - t0 < 1.0
 
 
@@ -200,7 +200,7 @@ def test_criterion_6_numerical_properties():
     assert sorted(order) == list(range(6))
     from chatterkit.trees import GradientBoosting
 
-    gb = GradientBoosting(n_rounds=30).fit(X, yy)
+    gb = GradientBoosting().fit(X, yy)
     assert np.all(np.diff(gb.loss_history_) <= 1e-12)
     assert time.time() - t0 < 300.0
 

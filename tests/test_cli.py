@@ -14,8 +14,7 @@ from chatterkit import cli, dataset, featurize, preprocess, synthgen
 from chatterkit.cli import main
 from chatterkit.dataset import load_manifest, split_by_config
 from chatterkit.errors import PeakShortfall
-from chatterkit.featurize import build_matrix
-from chatterkit.peaks import kind_defaults
+from chatterkit.featurize import PipelineConfig, build_matrix
 from chatterkit.transform import Kind
 
 
@@ -148,6 +147,41 @@ def test_bad_setting_is_an_error_not_a_traceback(corpus, tmp_path, command, flag
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--cutoff-hz", "9000", "cutoff_hz"),  # above the 5 kHz working Nyquist
+    ("--filter-order", "3", "filter_order"),
+])
+def test_bad_anti_alias_setting_is_an_error(corpus_20k, tmp_path, capsys, flag, value,
+                                            field):
+    out = tmp_path / "report"
+    assert main(["eval", "--manifest", str(corpus_20k), "--classifier", "lr",
+                 flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {field} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ("0", "-1"))
+def test_synth_without_records_is_an_error(tmp_path, capsys, n):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(out), "--n", n]) == 1
+    assert capsys.readouterr().err == f"error: n_per_class {n} must be >= 1\n"
+    assert not out.exists()
+
+
+def test_record_below_the_working_rate_is_an_error(tmp_path, capsys):
+    spec_a = synthgen.SynthSpec(n_per_class=2, seed=1, config_id="at_rate")
+    spec_b = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=5000.0, seed=2,
+                                chatter_freq_hz=1600.0, config_id="slow")
+    manifest = synthgen.write_corpus(tmp_path / "corpus", spec_a, spec_b)
+    slow = _group(manifest, "slow").records[0].record_id
+    out = tmp_path / "report"
+    assert main(["eval", "--manifest", str(manifest), "--classifier", "lr",
+                 "--out", str(out)]) == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: record {slow!r}: ") and "5000.0 Hz -> 10000.0 Hz" in last
+    assert not out.exists()
+
+
 def test_every_matrix_command_logs_its_exclusions(corpus, tmp_path, monkeypatch, capsys):
     dropped = {_group(corpus, cid).records[0].record_id for cid in ("synth_a", "synth_b")}
     extract = featurize.extract_features
@@ -276,9 +310,9 @@ def test_mpd_flags_leave_library_defaults(corpus, tmp_path):
     assert main(["features", "--manifest", str(corpus), "--config-id", "synth_a",
                  "--mpd-fft", "3", "--mpd-acf", "7", "--mpd-psd", "2",
                  "--features-out", str(tmp_path / "f.csv")]) == 0
-    assert kind_defaults(Kind.FFT).mpd == 500
-    assert kind_defaults(Kind.ACF).mpd == 1000
-    assert kind_defaults(Kind.PSD).mpd == 0
+    assert PipelineConfig().peak_constraints(Kind.FFT).mpd == 500
+    assert PipelineConfig().peak_constraints(Kind.ACF).mpd == 1000
+    assert PipelineConfig().peak_constraints(Kind.PSD).mpd == 0
 
 
 def test_eval_report_and_check(corpus, tmp_path):

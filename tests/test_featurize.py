@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from chatterkit.dataset import CuttingConfig, LabeledDataset, RawLabel, TimeSeries
-from chatterkit.errors import ConfigError, EvaluationError, PeakShortfall
+from chatterkit.errors import ConfigError, EvaluationError, FilterDesignError, PeakShortfall
 from chatterkit.featurize import (
     FeatureMatrix,
-    FeatureVector,
     PipelineConfig,
     build_matrix,
     extract_features,
@@ -22,11 +21,11 @@ def chatter_ts():
 
 
 def test_five_peaks_gives_30_features(chatter_ts):
-    assert extract_features(chatter_ts, PipelineConfig(n_peaks=5)).values.size == 30
+    assert extract_features(chatter_ts, PipelineConfig(n_peaks=5)).size == 30
 
 
 def test_two_peaks_gives_12_features(chatter_ts):
-    assert extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values.size == 12
+    assert extract_features(chatter_ts, PipelineConfig(n_peaks=2)).size == 12
 
 
 def test_feature_name_layout():
@@ -44,8 +43,8 @@ def test_two_tone_fft_x_features(make_ts):
     x += np.random.default_rng(1).normal(0, 0.01, n)
     fv = extract_features(make_ts(x, rate=rate), PipelineConfig(n_peaks=2))
     bin_width = rate / 16384
-    assert abs(fv.values[0] - 200) <= bin_width + 1e-9
-    assert abs(fv.values[2] - 900) <= bin_width + 1e-9
+    assert abs(fv[0] - 200) <= bin_width + 1e-9
+    assert abs(fv[2] - 900) <= bin_width + 1e-9
 
 
 def test_peak_shortfall_is_error(make_ts):
@@ -59,14 +58,9 @@ def test_peak_shortfall_is_error(make_ts):
 
 
 def test_extract_deterministic(chatter_ts):
-    a = extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values
-    b = extract_features(chatter_ts, PipelineConfig(n_peaks=2)).values
+    a = extract_features(chatter_ts, PipelineConfig(n_peaks=2))
+    b = extract_features(chatter_ts, PipelineConfig(n_peaks=2))
     assert np.array_equal(a, b)
-
-
-def test_feature_vector_size_checked():
-    with pytest.raises(EvaluationError, match="expected 12"):
-        FeatureVector(values=np.zeros(11), n_peaks=2, record_id="r", config_id="c")
 
 
 @pytest.mark.parametrize("y", ([0, 1, 2], [1, 2, 1], [-1, 1, 1]))
@@ -80,11 +74,9 @@ def test_feature_matrix_labels_are_binary(y):
     (lambda a: TimeSeries(a, 1000.0, CuttingConfig(1.0, 1.0, 1.0, "c"),
                           RawLabel.STABLE), "samples"),
     (lambda a: IndexedSequence(a, a, Kind.FFT), "ys"),
-    (lambda a: FeatureVector(values=a, n_peaks=1, record_id="r", config_id="c"),
-     "values"),
     (lambda a: FeatureMatrix(X=a.reshape(1, -1), y=[0], feature_names=tuple("abcdef")),
      "X"),
-], ids=["TimeSeries", "IndexedSequence", "FeatureVector", "FeatureMatrix"])
+], ids=["TimeSeries", "IndexedSequence", "FeatureMatrix"])
 def test_constructors_copy_their_input(build, attr):
     x = np.arange(1.0, 7.0)
     obj = build(x)
@@ -106,6 +98,37 @@ def test_config_out_of_range(field, value):
 def test_config_range_ends_are_valid():
     for alpha in (0.0, 1.0):
         PipelineConfig(alpha=alpha, n_peaks=1, mpd_fft=0, mpd_acf=0, mpd_psd=0)
+
+
+@pytest.mark.parametrize("settings, field", [
+    ({"cutoff_hz": 5000.0}, "cutoff_hz"),  # the working Nyquist itself
+    ({"cutoff_hz": 9000.0}, "cutoff_hz"),
+    ({"cutoff_hz": 0.0}, "cutoff_hz"),
+    ({"cutoff_hz": -1.0}, "cutoff_hz"),
+    ({"cutoff_hz": np.nan}, "cutoff_hz"),
+    ({"cutoff_hz": 10000.0, "target_rate_hz": 20000.0}, "cutoff_hz"),
+    ({"filter_order": 3}, "filter_order"),
+    ({"filter_order": 1}, "filter_order"),
+    ({"filter_order": 0}, "filter_order"),
+    ({"filter_order": -2}, "filter_order"),
+])
+def test_anti_alias_settings_out_of_range(settings, field):
+    with pytest.raises(ConfigError, match=f"^{field} must be"):
+        PipelineConfig(**settings)
+
+
+def test_anti_alias_range_ends_are_valid():
+    PipelineConfig(cutoff_hz=4999.0, filter_order=2)
+    PipelineConfig(cutoff_hz=9999.0, target_rate_hz=20000.0)
+    PipelineConfig(cutoff_hz=None)
+
+
+def test_record_below_the_working_rate_is_an_error(make_ts):
+    cfg = PipelineConfig()
+    at_rate = make_ts(np.ones(8), rate=10000.0)
+    assert cfg.to_working_rate(at_rate) is at_rate
+    with pytest.raises(FilterDesignError, match=r"'slow'.*5000.0 Hz -> 10000.0 Hz"):
+        cfg.to_working_rate(make_ts(np.ones(8), rate=5000.0, record_id="slow"))
 
 
 class TestBuildMatrix:
@@ -138,6 +161,17 @@ class TestBuildMatrix:
                           PipelineConfig(n_peaks=5))
         assert any(rid == "bad" for rid, _ in fm.excluded)
         assert fm.X.shape == (4, 30)
+
+    def test_empty_dataset_is_not_an_exclusion(self, make_ts):
+        with pytest.raises(EvaluationError, match="^no learnable records$"):
+            build_matrix(LabeledDataset(records=()))
+        unknown = make_ts(np.ones(8), label=RawLabel.UNKNOWN)
+        with pytest.raises(EvaluationError, match="^no learnable records$"):
+            build_matrix(LabeledDataset(records=(unknown,)))
+        t = np.arange(64) / 10000.0
+        short = make_ts(np.sin(2 * np.pi * 500 * t), label=RawLabel.CHATTER)
+        with pytest.raises(EvaluationError, match="^no usable rows after exclusions$"):
+            build_matrix(LabeledDataset(records=(short,)), PipelineConfig(n_peaks=5))
 
     def test_zero_usable_rows(self, make_ts):
         t = np.arange(64) / 10000.0

@@ -239,7 +239,7 @@ def test_gb_training_loss_non_increasing():
         y = rng.integers(0, 2, 40)
         if len(np.unique(y)) < 2:
             continue
-        gb = GradientBoosting(n_rounds=50).fit(X, y)
+        gb = GradientBoosting().fit(X, y)
         hist = np.array(gb.loss_history_)
         assert np.all(np.diff(hist) <= 1e-12)
 
@@ -262,9 +262,9 @@ def test_tree_models_invariant_to_monotone_transforms(kind):
 
 def test_forest_seed_controls_bootstrap():
     X, y = separable_blobs(40, seed=16, d=3)
-    f1 = RandomForest(n_trees=5, seed=1).fit(X, y)
-    f2 = RandomForest(n_trees=5, seed=1).fit(X, y)
-    f3 = RandomForest(n_trees=5, seed=2).fit(X, y)
+    f1 = RandomForest(seed=1).fit(X, y)
+    f2 = RandomForest(seed=1).fit(X, y)
+    f3 = RandomForest(seed=2).fit(X, y)
     d1 = [t.to_dict() for t in f1.trees]
     d2 = [t.to_dict() for t in f2.trees]
     d3 = [t.to_dict() for t in f3.trees]
@@ -281,6 +281,6 @@ def test_forced_negative_decision_rule():
         feature_names=model.feature_names,
         seed=0,
         scaler=model.scaler,
-        impl=np.array([0.0, 0.0, -1.0]),
+        impl=(np.array([0.0, 0.0]), -1.0),
     )
     assert np.all(zeroed.predict(X) == 0)

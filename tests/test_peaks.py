@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chatterkit.featurize import PipelineConfig
 from chatterkit.peaks import (
     Peak,
     _local_maxima,
     PeakConstraints,
     find_peaks,
-    kind_defaults,
     min_peak_height,
 )
 from chatterkit.transform import IndexedSequence, Kind
@@ -87,13 +87,13 @@ class TestMinPeakHeight:
 
 class TestKindDefaults:
     def test_fft(self):
-        assert kind_defaults(Kind.FFT).mpd == 500
+        assert PipelineConfig().peak_constraints(Kind.FFT).mpd == 500
 
     def test_acf(self):
-        assert kind_defaults(Kind.ACF).mpd == 1000
+        assert PipelineConfig().peak_constraints(Kind.ACF).mpd == 1000
 
     def test_psd(self):
-        assert kind_defaults(Kind.PSD).mpd == 0
+        assert PipelineConfig().peak_constraints(Kind.PSD).mpd == 0
 
 
 class TestFindPeaks:

@@ -51,7 +51,7 @@ def test_ranking_is_permutation(kind):
 
 def test_ranking_validates_permutation():
     with pytest.raises(EvaluationError, match="not a permutation"):
-        Ranking(order=(0, 0, 2), classifier="lr", seed=0)
+        Ranking(order=(0, 0, 2))
 
 
 @pytest.mark.parametrize("d", (12, 30))

@@ -96,6 +96,12 @@ def test_spec_validation():
     assert "SynthSpecError: chatter_freq_hz 9000.0" in proc.stderr
 
 
+@pytest.mark.parametrize("n", (0, -1))
+def test_spec_needs_a_record_per_class(n):
+    with pytest.raises(SynthSpecError, match=f"n_per_class {n} must be >= 1"):
+        synthgen.SynthSpec(n_per_class=n)
+
+
 def test_dataset_configs_must_differ():
     spec_a, spec_b = synthgen.default_spec_pair(seed=1)
     with pytest.raises(SynthSpecError, match="chatter_freq_hz 800.0"):

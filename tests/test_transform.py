@@ -6,6 +6,7 @@ from scipy import signal
 
 from chatterkit.errors import TransformError
 from chatterkit.transform import (
+    DEFAULT_MAX_LAG,
     DEFAULT_PSD_SEGMENTS,
     IndexedSequence,
     Kind,
@@ -188,6 +189,45 @@ class TestACF:
     def test_constant_signal_rejected(self, make_ts):
         with pytest.raises(TransformError):
             autocorrelation(make_ts(np.ones(100)), max_lag=10)
+
+
+@st.composite
+def _acf_case(draw):
+    """A signal of 2 to 2000 samples and any valid max_lag (None: the default)."""
+    n = draw(st.integers(2, 2000))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if n <= 50 and draw(st.booleans()):
+        x = np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)), float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        x = rng.normal(size=n) + draw(st.sampled_from([0.0, 100.0]))
+    max_lag = draw(st.one_of(st.none(), st.integers(1, n - 1)))
+    return scale * x, max_lag
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_acf_case())
+def test_acf_equals_brute_force(make_ts, case):
+    x, max_lag = case
+    if np.all(x == x[0]):
+        with pytest.raises(TransformError, match="constant signal"):
+            autocorrelation(make_ts(x), max_lag=max_lag)
+        return
+    acf = autocorrelation(make_ts(x), max_lag=max_lag)
+    lags = acf.xs.size - 1
+    assert lags == (min(x.size - 1, DEFAULT_MAX_LAG) if max_lag is None else max_lag)
+    assert np.array_equal(acf.xs, np.arange(lags + 1.0))
+    assert np.max(np.abs(acf.ys - brute_force_acf(x, lags))) < 1e-9
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(2, 2000), st.floats(-1e6, 1e6), st.data())
+def test_acf_rejects_every_constant_signal(make_ts, n, value, data):
+    max_lag = data.draw(st.integers(1, n - 1))
+    with pytest.raises(TransformError, match="constant signal"):
+        autocorrelation(make_ts(np.full(n, value)), max_lag=max_lag)
 
 
 def test_transforms_deterministic(make_ts):
