@@ -89,17 +89,20 @@ def to_binary(label):
 def _read_signal_lines(path):
     """Parse a signal file line by line; the source of every parse error."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                if lineno == 1:  # optional header
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if not text:
                     continue
-                raise SignalLoadError(f"{path}: bad value on line {lineno}: {text!r}")
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    if lineno == 1:  # optional header
+                        continue
+                    raise SignalLoadError(f"{path}: bad value on line {lineno}: {text!r}")
+    except UnicodeDecodeError as exc:
+        raise SignalLoadError(f"{path}: not UTF-8 text ({exc.reason})")
     if not values:
         raise SignalLoadError(f"{path}: no samples")
     return np.array(values, dtype=float)
@@ -138,55 +141,75 @@ def _read_signal(path):
     return _read_signal_lines(path)
 
 
+def _positive(where, entry, key):
+    """entry[key] as a positive finite float; else ManifestError names entry and key."""
+    try:
+        value = float(entry[key])
+    except (TypeError, ValueError, OverflowError):
+        value = np.nan
+    if not (np.isfinite(value) and value > 0):
+        raise ManifestError(
+            f"{where}: {key} must be a positive finite number, got {entry[key]!r}")
+    return value
+
+
 def load_manifest(path, config_ids=None, record_ids=None):
     """Load a JSON manifest and the signal files of the records asked for.
 
-    Every entry is validated (keys, label, file existence, cutting
-    parameters, config_id reuse); only the records of `config_ids` that
-    are also in `record_ids`, in manifest order, are parsed and returned.
+    Every entry is validated (keys, label, string file and ids, positive
+    rate and cutting parameters, file existence, config_id reuse); only
+    the records of `config_ids` that are also in `record_ids`, in manifest
+    order, are parsed and returned.
     None means every config, or every record. Each of `config_ids` must be
     in the manifest and then each of `record_ids` among those configs.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ManifestError(f"manifest not found: {path}")
     try:
         entries = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON ({exc})")
     if not isinstance(entries, list):
         raise ManifestError(f"{path}: manifest must be a JSON array")
 
     required = {"file", "sample_rate_hz", "overhang_cm", "rpm", "depth_cm", "label"}
-    valid = []  # (record id, entry, label, signal path, config)
+    valid = []  # (record id, rate, label, signal path, config)
     seen_configs = {}
     for i, entry in enumerate(entries):
+        where = f"{path}: entry {i}"
         if not isinstance(entry, dict) or not required.issubset(entry):
             missing = required - set(entry) if isinstance(entry, dict) else required
-            raise ManifestError(f"{path}: entry {i}: missing keys {sorted(missing)}")
+            raise ManifestError(f"{where}: missing keys {sorted(missing)}")
         try:
             label = RawLabel(str(entry["label"]).lower())
         except ValueError:
-            raise ManifestError(f"{path}: entry {i}: unknown label {entry['label']!r}")
+            raise ManifestError(f"{where}: unknown label {entry['label']!r}")
+        config_id = entry.get("config_id", f"overhang_{entry['overhang_cm']}cm")
+        record_id = entry.get("record_id", f"{path.name}[{i}]")
+        for key, value in (("file", entry["file"]), ("config_id", config_id),
+                           ("record_id", record_id)):
+            if not isinstance(value, str):
+                raise ManifestError(f"{where}: {key} must be a string, got {value!r}")
         sig_path = path.parent / entry["file"]
-        if not sig_path.exists():
-            raise ManifestError(f"{path}: entry {i}: signal file not found: {sig_path}")
-        config = CuttingConfig(
-            overhang_cm=float(entry["overhang_cm"]),
-            spindle_rpm=float(entry["rpm"]),
-            depth_of_cut_cm=float(entry["depth_cm"]),
-            config_id=entry.get("config_id", f"overhang_{entry['overhang_cm']}cm"),
-        )
+        if not sig_path.is_file():
+            raise ManifestError(f"{where}: signal file not found: {sig_path}")
+        rate, overhang, rpm, depth = (
+            _positive(where, entry, key)
+            for key in ("sample_rate_hz", "overhang_cm", "rpm", "depth_cm"))
+        config = CuttingConfig(overhang_cm=overhang, spindle_rpm=rpm,
+                               depth_of_cut_cm=depth, config_id=config_id)
         # A config_id names one parameter triple; reuse with different
         # parameters would silently merge distinct configurations.
         params = (config.overhang_cm, config.spindle_rpm, config.depth_of_cut_cm)
         if seen_configs.setdefault(config.config_id, params) != params:
             raise ManifestError(
-                f"{path}: entry {i}: config_id {config.config_id!r} reused "
+                f"{where}: config_id {config.config_id!r} reused "
                 "with different cutting parameters"
             )
-        record_id = entry.get("record_id", f"{path.name}[{i}]")
-        valid.append((record_id, entry, label, sig_path, config))
+        valid.append((record_id, rate, label, sig_path, config))
 
     if config_ids is None:
         config_ids = list(seen_configs)
@@ -205,12 +228,12 @@ def load_manifest(path, config_ids=None, record_ids=None):
     records = tuple(
         TimeSeries(
             samples=_read_signal(sig_path),
-            sample_rate_hz=float(entry["sample_rate_hz"]),
+            sample_rate_hz=rate,
             config=config,
             label=label,
             record_id=record_id,
         )
-        for record_id, entry, label, sig_path, config in chosen
+        for record_id, rate, label, sig_path, config in chosen
     )
     return LabeledDataset(records=records)
 

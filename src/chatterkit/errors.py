@@ -55,3 +55,7 @@ class FitError(ChatterKitError):
 
 class EvaluationError(ChatterKitError):
     """An evaluation protocol could not be carried out."""
+
+
+class OutputError(ChatterKitError):
+    """An output file could not be written."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learn, rfe
-from .errors import EvaluationError
+from .errors import EvaluationError, OutputError
 from .seeds import rng_for
 
 # stratified splits of the source on which transfer_eval's RFE picks k
@@ -217,16 +217,23 @@ def ranking_frequency(selected_subsets, n_features):
 
 
 def _atomic_write(path, text):
+    """Write text to path through a temporary file beside it.
+
+    A failed write leaves neither file behind and raises OutputError
+    naming path.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise OutputError(f"{path}: cannot write ({exc.strerror})")
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def emit_report(results, path):

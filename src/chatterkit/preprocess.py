@@ -5,7 +5,7 @@ accelerometer recordings (160 kHz capture decimated to a 10 kHz working
 rate through a high-order Butterworth low-pass).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -17,23 +17,12 @@ DEFAULT_ORDER = 100
 CUTOFF_SAFETY = 0.9
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    cutoff_hz: float
-    order: int
-    sos: np.ndarray  # (order/2, 6) second-order sections
-
-    @property
-    def n_stages(self):
-        return self.sos.shape[0]
-
-
 @lru_cache(maxsize=16)
 def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
-    """Design a Butterworth low-pass as a cascade of second-order stages.
+    """Design a Butterworth low-pass as an (order/2, 6) array of second-order sections.
 
     Cached by its arguments (a design error is raised on every call), so
-    the returned `sos` is shared and read-only. scipy.signal is imported
+    the returned array is shared and read-only. scipy.signal is imported
     here and in apply_filter only: it is most of the package's import
     time, and a record already at the working rate never needs it.
     """
@@ -52,30 +41,24 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
         if np.any(np.abs(poles) >= 1.0):
             raise FilterDesignError(f"stage {k} unstable (pole on/outside unit circle)")
     sos.setflags(write=False)
-    return FilterSpec(cutoff_hz=float(cutoff_hz), order=int(order), sos=sos)
+    return sos
 
 
-def apply_filter(spec, ts):
-    """Run a TimeSeries through the cascade, single-pass (causal).
+def apply_filter(sos, x):
+    """Run samples through the cascade of sections `sos`, single-pass (causal).
 
-    One sosfilt call runs every stage; its output is bitwise that of
-    filtering stage by stage. Only a non-finite output is filtered again
-    stage by stage, to name the first stage that blew up.
+    A non-finite output raises NumericalInstabilityError naming the first
+    stage whose final state is not finite: a stage's state turns
+    non-finite with its output and stays so.
     """
     from scipy import signal
 
-    sos = spec.sos.copy()  # sosfilt needs writable coefficients
-    y = signal.sosfilt(sos, ts.samples)
+    # sosfilt needs writable coefficients
+    y, zf = signal.sosfilt(sos.copy(), x, zi=np.zeros((len(sos), 2)))
     if not np.all(np.isfinite(y)):
-        x = ts.samples
-        for k in range(spec.n_stages):
-            x = signal.sosfilt(sos[k : k + 1], x)
-            if not np.all(np.isfinite(x)):
-                break
-        raise NumericalInstabilityError(
-            f"non-finite output at filter stage {k} of {spec.n_stages}"
-        )
-    return replace(ts, samples=y)
+        k = int(np.argmin(np.isfinite(zf).all(axis=1)))
+        raise NumericalInstabilityError(f"non-finite output at filter stage {k} of {len(sos)}")
+    return y
 
 
 def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):
@@ -95,10 +78,6 @@ def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):
         return ts
     if cutoff_hz is None:
         cutoff_hz = CUTOFF_SAFETY * (target_rate_hz / 2.0)
-    spec = design_butterworth_lowpass(cutoff_hz, ts.sample_rate_hz, order)
-    filtered = apply_filter(spec, ts)
-    return replace(
-        filtered,
-        samples=filtered.samples[::factor],
-        sample_rate_hz=float(target_rate_hz),
-    )
+    sos = design_butterworth_lowpass(cutoff_hz, ts.sample_rate_hz, order)
+    return replace(ts, samples=apply_filter(sos, ts.samples)[::factor],
+                   sample_rate_hz=float(target_rate_hz))

@@ -168,6 +168,83 @@ def test_synth_without_records_is_an_error(tmp_path, capsys, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--noise-b", "-1", "noise_std -1.0 must be >= 0"),
+    ("--noise-b", "nan", "noise_std nan must be >= 0"),
+    ("--freq-a", "0", "chatter_freq_hz 0.0 must be > 0"),
+    ("--freq-a", "-800", "chatter_freq_hz -800.0 must be > 0"),
+])
+def test_synth_bad_tone_or_noise_is_an_error(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(out), flag, value]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def _manifest_copy(corpus, path, edit):
+    """corpus's manifest at path, signal files made absolute, after edit(entries)."""
+    entries = json.loads(corpus.read_text())
+    for e in entries:
+        e["file"] = str(corpus.parent / e["file"])
+    edit(entries)
+    path.write_text(json.dumps(entries))
+    return path
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("sample_rate_hz", "abc", "a positive finite number, got 'abc'"),
+    ("sample_rate_hz", None, "a positive finite number, got None"),
+    ("sample_rate_hz", "nan", "a positive finite number, got 'nan'"),
+    ("overhang_cm", "x", "a positive finite number, got 'x'"),
+    ("overhang_cm", None, "a positive finite number, got None"),
+    ("rpm", [1], "a positive finite number, got [1]"),
+    ("sample_rate_hz", 0, "a positive finite number, got 0"),
+    ("depth_cm", -1, "a positive finite number, got -1"),
+    ("file", 123, "a string, got 123"),
+    ("config_id", 7, "a string, got 7"),
+    ("record_id", 7, "a string, got 7"),
+])
+def test_bad_manifest_field_is_an_error(corpus, tmp_path, capsys, key, value, rule):
+    manifest = _manifest_copy(corpus, tmp_path / "manifest.json",
+                              lambda entries: entries[1].update({key: value}))
+    out = tmp_path / "r.json"
+    assert main(["eval", "--manifest", str(manifest), "--config-id", "synth_z",
+                 "--classifier", "lr", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: entry 1: {key} must be {rule}\n"
+    assert not out.exists()
+
+
+def test_unreadable_input_or_unwritable_output_is_an_error(corpus, tmp_path, capsys):
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"[\xff]")
+    signal = tmp_path / "signal.csv"
+    signal.write_bytes(b"0.5\n\xff\n")
+    bad_signal = _manifest_copy(corpus, tmp_path / "bad_signal.json",
+                                lambda entries: entries[0].update(file=str(signal)))
+    dir_signal = _manifest_copy(corpus, tmp_path / "dir_signal.json",
+                                lambda entries: entries[0].update(file=str(tmp_path)))
+    missing = tmp_path / "missing" / "out.csv"
+
+    def eval_(manifest, out=tmp_path / "r"):
+        return ["eval", "--manifest", str(manifest), "--classifier", "lr", "--reps", "2",
+                "--out", str(out)]
+
+    cases = [
+        (eval_(not_utf8), f"{not_utf8}: not UTF-8 text"),
+        (eval_(bad_signal), f"{signal}: not UTF-8 text"),
+        (eval_(tmp_path), f"manifest not found: {tmp_path}"),
+        (eval_(dir_signal), f"{dir_signal}: entry 0: signal file not found: {tmp_path}"),
+        (eval_(corpus, missing), f"{missing}: cannot write"),
+        (["features", "--manifest", str(corpus), "--features-out", str(missing)],
+         f"{missing}: cannot write"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"error: {message}"), (argv, err)
+    assert not missing.parent.exists() and not (tmp_path / "r").exists()
+
+
 def test_record_below_the_working_rate_is_an_error(tmp_path, capsys):
     spec_a = synthgen.SynthSpec(n_per_class=2, seed=1, config_id="at_rate")
     spec_b = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=5000.0, seed=2,

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal
 
 from chatterkit.errors import FilterDesignError, NumericalInstabilityError
-from chatterkit.preprocess import (
-    FilterSpec,
-    apply_filter,
-    decimate,
-    design_butterworth_lowpass,
-)
+from chatterkit.preprocess import apply_filter, decimate, design_butterworth_lowpass
 from chatterkit.transform import amplitude_spectrum
 
 RATE = 160000.0
@@ -27,25 +24,25 @@ def sine(freq, rate=RATE, seconds=0.2):
 
 
 def test_order_100_design_has_50_stable_stages():
-    spec = design_butterworth_lowpass(5000, RATE, 100)
-    assert spec.n_stages == 50
-    for stage in spec.sos:
+    sos = design_butterworth_lowpass(5000, RATE, 100)
+    assert sos.shape == (50, 6)
+    for stage in sos:
         assert np.all(np.abs(np.roots(stage[3:])) < 1.0)
 
 
 def test_minus_3db_at_cutoff():
     from scipy.signal import sosfreqz
 
-    spec = design_butterworth_lowpass(2000, 16000, 2)
-    _, h = sosfreqz(spec.sos, worN=[2000.0], fs=16000)
+    sos = design_butterworth_lowpass(2000, 16000, 2)
+    _, h = sosfreqz(sos, worN=[2000.0], fs=16000)
     assert abs(20 * np.log10(abs(h[0])) + 3.0103) < 0.1
 
 
 def test_dc_gain_unity():
     from scipy.signal import sosfreqz
 
-    spec = design_butterworth_lowpass(5000, RATE, 100)
-    _, h = sosfreqz(spec.sos, worN=[1e-6], fs=RATE)
+    sos = design_butterworth_lowpass(5000, RATE, 100)
+    _, h = sosfreqz(sos, worN=[1e-6], fs=RATE)
     assert abs(abs(h[0]) - 1.0) < 1e-6
 
 
@@ -60,56 +57,50 @@ def test_odd_order_rejected():
 
 
 def test_design_is_cached_and_errors_are_not():
-    spec = design_butterworth_lowpass(4321.0, RATE, 100)
-    assert design_butterworth_lowpass(4321.0, RATE, 100) is spec
-    assert not spec.sos.flags.writeable
+    sos = design_butterworth_lowpass(4321.0, RATE, 100)
+    assert design_butterworth_lowpass(4321.0, RATE, 100) is sos
+    assert not sos.flags.writeable
     with pytest.raises(ValueError):
-        spec.sos[0, 0] = 0.0
+        sos[0, 0] = 0.0
     fresh = design_butterworth_lowpass.__wrapped__(4321.0, RATE, 100)
-    assert fresh.sos.tobytes() == spec.sos.tobytes()
+    assert fresh.tobytes() == sos.tobytes()
     for _ in range(2):
         with pytest.raises(FilterDesignError, match="strictly inside"):
             design_butterworth_lowpass(RATE, RATE, 100)
 
 
-def test_zero_signal_stays_zero(make_ts):
-    spec = design_butterworth_lowpass(5000, RATE, 100)
-    out = apply_filter(spec, make_ts(np.zeros(4096), rate=RATE))
-    assert np.all(out.samples == 0.0)
-    assert out.samples.size == 4096
-    assert out.sample_rate_hz == RATE
+def test_zero_signal_stays_zero():
+    out = apply_filter(design_butterworth_lowpass(5000, RATE, 100), np.zeros(4096))
+    assert np.all(out == 0.0)
+    assert out.size == 4096
 
 
-def test_passband_tone_preserved(make_ts):
-    spec = design_butterworth_lowpass(5000, RATE, 100)
-    out = apply_filter(spec, make_ts(sine(100), rate=RATE))
-    ratio = steady_amplitude(out.samples, RATE, 100)
+def test_passband_tone_preserved():
+    out = apply_filter(design_butterworth_lowpass(5000, RATE, 100), sine(100))
+    ratio = steady_amplitude(out, RATE, 100)
     assert 0.99 <= ratio <= 1.01
 
 
-def test_stopband_tone_attenuated(make_ts):
-    spec = design_butterworth_lowpass(5000, RATE, 100)
-    out = apply_filter(spec, make_ts(sine(12000), rate=RATE))
-    assert steady_amplitude(out.samples, RATE, 100) <= 0.01
+def test_stopband_tone_attenuated():
+    out = apply_filter(design_butterworth_lowpass(5000, RATE, 100), sine(12000))
+    assert steady_amplitude(out, RATE, 100) <= 0.01
 
 
-def test_linearity(make_ts):
+def test_linearity():
     rng = np.random.default_rng(0)
     x, y = rng.normal(size=2048), rng.normal(size=2048)
     a, b = 2.5, -1.3
-    spec = design_butterworth_lowpass(5000, RATE, 8)
-    fx = apply_filter(spec, make_ts(x, rate=RATE)).samples
-    fy = apply_filter(spec, make_ts(y, rate=RATE)).samples
-    fxy = apply_filter(spec, make_ts(a * x + b * y, rate=RATE)).samples
+    sos = design_butterworth_lowpass(5000, RATE, 8)
+    fx, fy, fxy = (apply_filter(sos, v) for v in (x, y, a * x + b * y))
     scale = np.max(np.abs(fxy)) or 1.0
     assert np.max(np.abs(fxy - (a * fx + b * fy))) / scale < 1e-9
 
 
-def test_large_amplitude_stays_finite(make_ts):
+def test_large_amplitude_stays_finite():
     rng = np.random.default_rng(1)
-    spec = design_butterworth_lowpass(4500, RATE, 100)
-    out = apply_filter(spec, make_ts(1e3 * rng.normal(size=8192), rate=RATE))
-    assert np.all(np.isfinite(out.samples))
+    out = apply_filter(design_butterworth_lowpass(4500, RATE, 100),
+                       1e3 * rng.normal(size=8192))
+    assert np.all(np.isfinite(out))
 
 
 def test_decimate_160k_to_10k(make_ts):
@@ -152,32 +143,61 @@ def test_inband_power_preserved(make_ts):
     assert abs(p_out - p_in) / p_in < 0.02
 
 
-def _cascade_stage_by_stage(spec, x):
-    """The stage-by-stage loop one sosfilt call replaced: the reference."""
-    x = np.array(x, dtype=float)
-    for k in range(spec.n_stages):
-        x = signal.sosfilt(spec.sos[k : k + 1].copy(), x)
-    return x
+def _cascade_stage_by_stage(sos, x):
+    """The stage-by-stage loop one sosfilt call replaced: the reference.
+
+    Returns the output and the first stage whose output is not finite
+    (None when every stage's is).
+    """
+    x, bad = np.array(x, dtype=float), None
+    for k in range(len(sos)):
+        x = signal.sosfilt(sos[k : k + 1].copy(), x)
+        if bad is None and not np.all(np.isfinite(x)):
+            bad = k
+    return x, bad
 
 
 @pytest.mark.parametrize("rate,cutoff", [(160000.0, 4500.0), (160000.0, 60000.0),
                                          (20000.0, 4500.0), (10000.0, 100.0)])
-def test_one_pass_filter_is_the_cascade_bit_for_bit(make_ts, rate, cutoff):
+def test_one_pass_filter_is_the_cascade_bit_for_bit(rate, cutoff):
     rng = np.random.default_rng(int(cutoff))
     x = 1e3 * rng.normal(size=3000) + np.repeat([0.0, 5.0], 1500)  # noise and a step
-    ts = make_ts(x, rate=rate)
     for order in range(2, 101, 2):
-        spec = design_butterworth_lowpass(cutoff, rate, order)
-        out = apply_filter(spec, ts).samples
+        sos = design_butterworth_lowpass(cutoff, rate, order)
+        out = apply_filter(sos, x)
         assert np.all(np.isfinite(out)), order
-        want = _cascade_stage_by_stage(spec, x)
+        want, _ = _cascade_stage_by_stage(sos, x)
         assert out.view(np.int64).tolist() == want.view(np.int64).tolist(), order
 
 
 @pytest.mark.parametrize("bad", [0, 2, 4])
-def test_blow_up_names_the_stage(make_ts, bad):
+def test_blow_up_names_the_stage(bad):
     sos = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 1))  # five identity stages
     sos[bad, 4] = -10.0  # y[n] = x[n] + 10 y[n-1]: overflows within 400 samples
-    spec = FilterSpec(cutoff_hz=1.0, order=10, sos=sos)
     with pytest.raises(NumericalInstabilityError, match=f"stage {bad} of 5$"):
-        apply_filter(spec, make_ts(np.ones(1000)))
+        apply_filter(sos, np.ones(1000))
+
+
+_COEF = st.floats(-10.0, 10.0)
+# magnitudes up to 1e300, so that both finite and overflowing outputs occur
+_SAMPLE = st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(0, 300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COEF, _COEF, _COEF, _COEF, _COEF), min_size=1, max_size=7),
+       st.lists(_SAMPLE, min_size=20, max_size=200))
+def test_blow_up_stage_is_the_first_non_finite_state(stages, x):
+    sos = np.array([[b0, b1, b2, 1.0, a1, a2] for b0, b1, b2, a1, a2 in stages])
+    x = np.array(x)
+    want, replay_stage = _cascade_stage_by_stage(sos, x)
+    if np.all(np.isfinite(want)):
+        out = apply_filter(sos, x)
+        assert out.view(np.int64).tolist() == want.view(np.int64).tolist()
+        return
+    with pytest.raises(NumericalInstabilityError, match=f"of {len(sos)}$") as err:
+        apply_filter(sos, x)
+    k = int(str(err.value).split("stage ")[1].split(" of")[0])
+    _, zf = signal.sosfilt(sos, x, zi=np.zeros((len(sos), 2)))
+    finite = np.isfinite(zf).all(axis=1)
+    assert not finite[k] and finite[:k].all()
+    assert k <= replay_stage
