@@ -8,15 +8,14 @@ codes: 0 success, 1 usage/runtime error, 2 report-check failure.
 import argparse
 import csv
 import io
-import json
 import sys
 from dataclasses import asdict, fields
 
 from . import __version__
 from . import evaluate, featurize, learn, rfe, synthgen, transform
-from .dataset import load_manifest, split_by_config
+from .dataset import (atomic_write, check_writable, load_manifest, split_by_config,
+                      write_corpus)
 from .errors import ChatterKitError
-from .evaluate import _atomic_write
 
 
 def _log(msg):
@@ -68,7 +67,7 @@ def _write_csv(path, header, rows):
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 def cmd_synth(args):
@@ -76,7 +75,7 @@ def cmd_synth(args):
         seed=args.seed, freq_a=args.freq_a, freq_b=args.freq_b,
         n_per_class=args.n, amp_b=args.amp_b, noise_b=args.noise_b,
     )
-    manifest = synthgen.write_corpus(args.out_dir, spec_a, spec_b)
+    manifest = write_corpus(args.out_dir, synthgen.make_dataset(spec_a, spec_b))
     _log(f"wrote {args.n * 4} records under {args.out_dir}")
     print(manifest)
     return 0
@@ -84,33 +83,10 @@ def cmd_synth(args):
 
 def cmd_features(args):
     fm = _features(args)
-    _write_csv(args.features_out, list(fm.feature_names) + ["label", "config_id"],
+    _write_csv(args.out, list(fm.feature_names) + ["label", "config_id"],
                ([repr(float(v)) for v in x] + [int(y), config_id]
                 for x, y, config_id in zip(fm.X, fm.y, fm.config_ids)))
-    _log(f"wrote {fm.n_rows} x {fm.n_features} matrix to {args.features_out}")
-    return 0
-
-
-def _check_report(path):
-    """Minimal schema check on an emitted report; exit code 2 on failure."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        rows = doc.get("results") if isinstance(doc, dict) else None
-        if not isinstance(rows, list) or not rows:
-            raise ValueError(f"'results' is {rows!r}, expected a non-empty list")
-        for i, row in enumerate(rows):
-            for key in ("classifier", "rfe"):
-                if key not in row:
-                    raise ValueError(f"results[{i}] has no {key!r}")
-            for key, val in row.items():
-                if key.startswith(("mean_", "std_")) or key.endswith("accuracy"):
-                    if not (isinstance(val, (int, float)) and 0.0 <= val <= 1.0):
-                        raise ValueError(f"results[{i}][{key!r}] is {val!r}, "
-                                         "expected a number in [0, 1]")
-    except Exception as exc:
-        _log(f"report check failed: {exc}")
-        return 2
+    _log(f"wrote {fm.n_rows} x {fm.n_features} matrix to {args.out}")
     return 0
 
 
@@ -118,7 +94,7 @@ def _report(args, result, summary, check=False):
     """Write the one-result JSON report to --out and log its summary line."""
     evaluate.emit_report([result], args.out)
     _log(summary)
-    return _check_report(args.out) if check else 0
+    return evaluate.check_report(args.out) if check else 0
 
 
 def cmd_eval(args):
@@ -215,7 +191,7 @@ def build_parser():
 
     p = data_parser("features", "dump the feature matrix as CSV", cmd_features)
     p.add_argument("--config-id", default=None)
-    p.add_argument("--features-out", required=True)
+    p.add_argument("--features-out", dest="out", metavar="FEATURES_OUT", required=True)
 
     p = data_parser("eval", "repeated stratified-split evaluation", cmd_eval)
     add_model_flags(p)
@@ -263,6 +239,8 @@ def main(argv=None):
         # argparse exits 2 on usage errors; map to the documented code 1
         return 0 if exc.code == 0 else 1
     try:
+        if args.command != "synth":  # fail before the work, not after it
+            check_writable(args.out)
         return args.fn(args)
     except ChatterKitError as exc:
         print(f"error: {exc}", file=sys.stderr)

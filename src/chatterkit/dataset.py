@@ -1,20 +1,24 @@
-"""Labeled accelerometer dataset loading.
+"""Labeled accelerometer datasets: the corpus format, read and written.
 
 A dataset is described by a JSON manifest: an array of objects with keys
 `file`, `sample_rate_hz`, `overhang_cm`, `rpm`, `depth_cm`, `label`.
 Signal files are single-column CSV, one acceleration sample (m/s^2) per
-line, optionally with a non-numeric header line.
+line, optionally with a non-numeric header line. `load_manifest` reads a
+corpus, `write_corpus` writes one, `atomic_write` writes every output.
 """
 
 import enum
+import errno
 import json
+import os
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, SignalLoadError
+from .errors import ManifestError, OutputError, SignalLoadError
 
 
 class RawLabel(enum.Enum):
@@ -244,3 +248,61 @@ def split_by_config(ds):
     for rec in ds.records:
         groups.setdefault(rec.config.config_id, []).append(rec)
     return {cid: LabeledDataset(records=tuple(recs)) for cid, recs in groups.items()}
+
+
+def _cannot_write(path, exc):
+    return OutputError(f"{path}: cannot write ({exc.strerror})")
+
+
+def atomic_write(path, text):
+    """Write text to path through a temporary file beside it.
+
+    The file gets the mode open() would give it. A failed write leaves
+    neither file behind and raises OutputError naming path.
+    """
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise _cannot_write(path, exc)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def check_writable(path):
+    """Raise the OutputError atomic_write(path, ...) would for a missing or
+    unwritable directory or a path that is one, by making a temporary file."""
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))).close()
+    except OSError as exc:
+        raise _cannot_write(path, exc)
+
+
+def write_corpus(out_dir, ds):
+    """Write ds as load_manifest reads it: one `<record_id>.csv` of CRLF-ended
+    `repr(float)` lines per record, then manifest.json; returns its path."""
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(out_dir, exc)
+    entries = []
+    for rec in ds.records:
+        fname = f"{rec.record_id}.csv"
+        atomic_write(Path(out_dir) / fname,
+                     "".join(f"{v!r}\r\n" for v in rec.samples.tolist()))
+        entries.append({"file": fname, "sample_rate_hz": rec.sample_rate_hz,
+                        "overhang_cm": rec.config.overhang_cm, "rpm": rec.config.spindle_rpm,
+                        "depth_cm": rec.config.depth_of_cut_cm, "label": rec.label.value,
+                        "config_id": rec.config.config_id, "record_id": rec.record_id})
+    manifest = Path(out_dir) / "manifest.json"
+    atomic_write(manifest, json.dumps(entries, indent=2, sort_keys=True) + "\n")
+    return manifest

@@ -5,18 +5,18 @@ pairs; one loop, `_resample`, fits and scores them, with or without RFE.
 
 All splits are stratified by the binary label and every random draw is
 derived from an explicit seed, so a whole experiment is reproducible
-bit-for-bit.
+bit-for-bit. `emit_report` writes the JSON report; `check_report` checks one.
 """
 
 import json
-import os
-import tempfile
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import learn, rfe
-from .errors import EvaluationError, OutputError
+from .dataset import atomic_write
+from .errors import EvaluationError
 from .seeds import rng_for
 
 # stratified splits of the source on which transfer_eval's RFE picks k
@@ -216,27 +216,30 @@ def ranking_frequency(selected_subsets, n_features):
     return counts
 
 
-def _atomic_write(path, text):
-    """Write text to path through a temporary file beside it.
-
-    A failed write leaves neither file behind and raises OutputError
-    naming path.
-    """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise OutputError(f"{path}: cannot write ({exc.strerror})")
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
 def emit_report(results, path):
     """Write EvalResult/TransferResult rows as a JSON report, atomically."""
     rows = [r.as_row() for r in results]
-    _atomic_write(path, json.dumps({"results": rows}, indent=2, sort_keys=True) + "\n")
+    atomic_write(path, json.dumps({"results": rows}, indent=2, sort_keys=True) + "\n")
+
+
+def check_report(path):
+    """Minimal schema check on an emitted report; exit code 2 on failure."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        rows = doc.get("results") if isinstance(doc, dict) else None
+        if not isinstance(rows, list) or not rows:
+            raise ValueError(f"'results' is {rows!r}, expected a non-empty list")
+        for i, row in enumerate(rows):
+            for key in ("classifier", "rfe"):
+                if key not in row:
+                    raise ValueError(f"results[{i}] has no {key!r}")
+            for key, val in row.items():
+                if key.startswith(("mean_", "std_")) or key.endswith("accuracy"):
+                    if not (isinstance(val, (int, float)) and 0.0 <= val <= 1.0):
+                        raise ValueError(f"results[{i}][{key!r}] is {val!r}, "
+                                         "expected a number in [0, 1]")
+    except Exception as exc:
+        print(f"report check failed: {exc}", file=sys.stderr)
+        return 2
+    return 0

@@ -10,10 +10,7 @@ frequencies and amplitudes, which is exactly what breaks when a second
 configuration shifts both.
 """
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -136,31 +133,3 @@ def default_spec_pair(seed=0, freq_a=800.0, freq_b=1600.0, n_per_class=30,
     )
     return spec_a, spec_b
 
-
-def write_corpus(out_dir, spec_a, spec_b):
-    """Write signal CSVs plus a manifest.json; returns the manifest path."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for rec in make_dataset(spec_a, spec_b).records:
-        fname = f"{rec.record_id}.csv"
-        with open(out_dir / fname, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            for v in rec.samples:
-                writer.writerow([repr(float(v))])
-        entries.append(
-            {
-                "file": fname,
-                "sample_rate_hz": rec.sample_rate_hz,
-                "overhang_cm": rec.config.overhang_cm,
-                "rpm": rec.config.spindle_rpm,
-                "depth_cm": rec.config.depth_of_cut_cm,
-                "label": rec.label.value,
-                "config_id": rec.config.config_id,
-                "record_id": rec.record_id,
-            }
-        )
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
-    return manifest_path

@@ -67,7 +67,7 @@ def _best_split(X, t, features, gini):
         score = (sl2 - sl * sl / n_left) + (sr2 - sr * sr / n_right)
     score = np.where(splittable, score, np.inf).T  # feature-major
     j, i = divmod(int(np.argmin(score)), n - 1)
-    threshold = 0.5 * (xs[i, j] + xs[i + 1, j])
+    threshold = 0.5 * (float(xs[i, j]) + float(xs[i + 1, j]))
     return float(score[j, i]), int(features[j]), float(threshold)
 
 

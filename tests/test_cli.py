@@ -34,7 +34,8 @@ def corpus_20k(tmp_path_factory):
     spec_b = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=20000.0, seed=2,
                                 chatter_freq_hz=1600.0, config_id="fast_b",
                                 overhang_cm=11.43)
-    return synthgen.write_corpus(tmp_path_factory.mktemp("corpus20k"), spec_a, spec_b)
+    return dataset.write_corpus(tmp_path_factory.mktemp("corpus20k"),
+                                synthgen.make_dataset(spec_a, spec_b))
 
 
 def _group(manifest, config_id):
@@ -245,11 +246,46 @@ def test_unreadable_input_or_unwritable_output_is_an_error(corpus, tmp_path, cap
     assert not missing.parent.exists() and not (tmp_path / "r").exists()
 
 
+def test_output_is_checked_before_any_signal_is_parsed(corpus, tmp_path, monkeypatch,
+                                                       capsys):
+    record_id = json.loads(corpus.read_text())[0]["record_id"]
+    parsed = _record_calls(monkeypatch, dataset, "_read_signal")
+    missing = tmp_path / "missing" / "out"
+    m, a = ["--manifest", str(corpus)], ["--config-id", "synth_a", "--classifier", "lr"]
+    argvs = [
+        ["features", *m, "--features-out", str(missing)],
+        ["eval", *m, *a, "--reps", "2", "--out", str(missing)],
+        ["cv", *m, *a, "--folds", "2", "--out", str(missing)],
+        ["transfer", *m, "--source-config", "synth_a", "--target-config", "synth_b",
+         "--classifier", "lr", "--out", str(missing)],
+        ["rank-report", *m, *a, "--reps", "2", "--out", str(missing)],
+        ["dump-transform", *m, "--record-id", record_id, "--kind", "fft",
+         "--out", str(missing)],
+    ]
+    for argv in argvs:
+        assert main(argv) == 1, argv[0]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {missing}: cannot write (No such file or directory)"), argv[0]
+        assert parsed == [], argv[0]
+    assert main(["eval", *m, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path}: cannot write (Is a directory)\n"
+    assert parsed == []
+
+
+def test_synth_out_dir_that_cannot_be_made_is_an_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out_dir, reason in ((afile, "File exists"), (afile / "sub", "Not a directory")):
+        assert main(["synth", "--out-dir", str(out_dir), "--n", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {out_dir}: cannot write ({reason})\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
 def test_record_below_the_working_rate_is_an_error(tmp_path, capsys):
     spec_a = synthgen.SynthSpec(n_per_class=2, seed=1, config_id="at_rate")
     spec_b = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=5000.0, seed=2,
                                 chatter_freq_hz=1600.0, config_id="slow")
-    manifest = synthgen.write_corpus(tmp_path / "corpus", spec_a, spec_b)
+    manifest = dataset.write_corpus(tmp_path / "corpus", synthgen.make_dataset(spec_a, spec_b))
     slow = _group(manifest, "slow").records[0].record_id
     out = tmp_path / "report"
     assert main(["eval", "--manifest", str(manifest), "--classifier", "lr",
@@ -420,15 +456,15 @@ def test_check_flags_bad_report(corpus, tmp_path, capsys):
     doc = json.loads(out.read_text())
     doc["results"][0]["mean_test"] = 7.5
     out.write_text(json.dumps(doc))
-    from chatterkit.cli import _check_report
+    from chatterkit.evaluate import check_report
 
     capsys.readouterr()
-    assert _check_report(str(out)) == 2
+    assert check_report(str(out)) == 2
     assert "mean_test" in capsys.readouterr().err
     # the check must not vanish with assert statements under python -O
     env = dict(os.environ, PYTHONPATH=str(Path(chatterkit.__file__).parents[1]))
-    code = ("import sys; from chatterkit.cli import _check_report; "
-            "sys.exit(_check_report(sys.argv[1]))")
+    code = ("import sys; from chatterkit.evaluate import check_report; "
+            "sys.exit(check_report(sys.argv[1]))")
     proc = subprocess.run([sys.executable, "-O", "-c", code, str(out)],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -8,14 +9,16 @@ from hypothesis import strategies as st
 
 from chatterkit import dataset
 from chatterkit.dataset import (
+    CuttingConfig,
     LabeledDataset,
     RawLabel,
+    TimeSeries,
     _read_signal,
     load_manifest,
     split_by_config,
     to_binary,
 )
-from chatterkit.errors import ManifestError, SignalLoadError
+from chatterkit.errors import ManifestError, OutputError, SignalLoadError
 
 
 def _read_signal_reference(path):
@@ -257,3 +260,72 @@ def test_loading_deterministic(tmp_path):
         assert np.array_equal(r1.samples, r2.samples)
         assert r1.label == r2.label
         assert r1.config == r2.config
+
+
+_ID = st.text("abcdefghijklmnopqrstuvwxyz0123456789_", min_size=1, max_size=10)
+_POSITIVE = st.floats(min_value=5e-324, max_value=1.7e308)
+_SAMPLE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def _datasets(draw):
+    """Records over 1-3 configs, any label, rate and finite samples."""
+    config_ids = draw(st.lists(_ID, min_size=1, max_size=3, unique=True))
+    configs = [CuttingConfig(draw(_POSITIVE), draw(_POSITIVE), draw(_POSITIVE), cid)
+               for cid in config_ids]
+    records = tuple(
+        TimeSeries(samples=draw(st.lists(_SAMPLE, min_size=1, max_size=20)),
+                   sample_rate_hz=draw(_POSITIVE), config=draw(st.sampled_from(configs)),
+                   label=draw(st.sampled_from(RawLabel)), record_id=record_id)
+        for record_id in draw(st.lists(_ID, min_size=1, max_size=6, unique=True)))
+    return LabeledDataset(records=records)
+
+
+def _fields(rec):
+    return (rec.samples.view(np.int64).tolist(), rec.sample_rate_hz.hex(), rec.label,
+            rec.config, [v.hex() for v in (rec.config.overhang_cm, rec.config.spindle_rpm,
+                                           rec.config.depth_of_cut_cm)], rec.record_id)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_datasets())
+def test_write_corpus_then_load_manifest_is_the_identity(tmp_path, ds):
+    loaded = load_manifest(dataset.write_corpus(tmp_path / "corpus", ds))
+    assert [_fields(r) for r in loaded.records] == [_fields(r) for r in ds.records]
+
+
+def test_write_corpus_bytes(tmp_path):
+    config = CuttingConfig(5.08, 320.0, 0.0127, "a")
+    ds = LabeledDataset(records=(
+        TimeSeries([0.5, -0.0, 1e-310], 10000.0, config, RawLabel.UNKNOWN, "r_0"),))
+    manifest = dataset.write_corpus(tmp_path, ds)
+    assert (tmp_path / "r_0.csv").read_bytes() == b"0.5\r\n-0.0\r\n1e-310\r\n"
+    assert manifest.read_text() == json.dumps([{
+        "config_id": "a", "depth_cm": 0.0127, "file": "r_0.csv", "label": "unknown",
+        "overhang_cm": 5.08, "record_id": "r_0", "rpm": 320.0, "sample_rate_hz": 10000.0,
+    }], indent=2) + "\n"
+
+
+def test_output_check_raises_what_the_write_would(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for path in (tmp_path / "missing" / "r.json", afile / "r.json", tmp_path):
+        with pytest.raises(OutputError) as written:
+            dataset.atomic_write(path, "text")
+        with pytest.raises(OutputError) as checked:
+            dataset.check_writable(path)
+        assert str(checked.value) == str(written.value)
+        assert str(written.value).startswith(f"{path}: cannot write (")
+    dataset.check_writable(tmp_path / "r.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_atomic_write_gives_the_mode_open_gives(tmp_path):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    dataset.atomic_write(tmp_path / "atomic", "")
+    assert os.stat(tmp_path / "atomic").st_mode == os.stat(plain).st_mode

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import chatterkit
-from chatterkit import synthgen
+from chatterkit import dataset, synthgen
 
 SRC = str(Path(chatterkit.__file__).parents[1])
 
@@ -65,7 +65,7 @@ def test_decimating_command_imports_scipy_signal(tmp_path):
     spec_b = synthgen.SynthSpec(n_per_class=3, sample_rate_hz=20000.0, seed=2,
                                 chatter_freq_hz=1600.0, config_id="fast_b",
                                 overhang_cm=11.43)
-    manifest = synthgen.write_corpus(tmp_path / "corpus", spec_a, spec_b)
+    manifest = dataset.write_corpus(tmp_path / "corpus", synthgen.make_dataset(spec_a, spec_b))
     loaded = _scipy_modules(CLI, "eval", "--manifest", manifest, "--config-id", "fast_a",
                             "--classifier", "lr", "--reps", "2", "--out", tmp_path / "r.json")
     assert "scipy.signal" in loaded

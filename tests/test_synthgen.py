@@ -9,7 +9,7 @@ import pytest
 
 from chatterkit import synthgen
 from chatterkit.errors import SynthSpecError
-from chatterkit.dataset import RawLabel, load_manifest
+from chatterkit.dataset import RawLabel, load_manifest, write_corpus
 from chatterkit.peaks import min_peak_height
 from chatterkit.transform import amplitude_spectrum
 
@@ -112,7 +112,7 @@ def test_dataset_configs_must_differ():
 
 def test_write_corpus_round_trip(tmp_path):
     spec_a, spec_b = synthgen.default_spec_pair(seed=3, n_per_class=2)
-    manifest = synthgen.write_corpus(tmp_path, spec_a, spec_b)
+    manifest = write_corpus(tmp_path, synthgen.make_dataset(spec_a, spec_b))
     ds = load_manifest(manifest)
     assert len(ds.records) == 8
     original = synthgen.make_dataset(spec_a, spec_b)

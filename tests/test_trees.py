@@ -416,6 +416,7 @@ _DEGENERATE = [
 ]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("gini", (True, False))
 @pytest.mark.parametrize("column, y", _DEGENERATE)
 @pytest.mark.parametrize("max_depth", (None, 3))

@@ -163,6 +163,27 @@ def all_cases(work):
          ["eval", "--manifest", synth, *lr_a, "--out", "{out}/missing/r.json"]),
         ("bad/features-out-in-missing-directory",
          ["features", "--manifest", synth, "--features-out", "{out}/missing/f.csv"]),
+        ("bad/cv-out-in-missing-directory",
+         ["cv", "--manifest", synth, *lr_a[:4], "--folds", "2",
+          "--out", "{out}/missing/r.json"]),
+        ("bad/transfer-out-in-missing-directory",
+         ["transfer", "--manifest", synth, "--source-config", "synth_a",
+          "--target-config", "synth_b", "--classifier", "lr",
+          "--out", "{out}/missing/r.json"]),
+        ("bad/rank-report-out-in-missing-directory",
+         ["rank-report", "--manifest", synth, *lr_a, "--out", "{out}/missing/rank.csv"]),
+        ("bad/dump-transform-out-in-missing-directory",
+         ["dump-transform", "--manifest", synth, "--record-id", "synth_a_chatter_0",
+          "--kind", "fft", "--out", "{out}/missing/t.csv"]),
+        ("bad/out-is-a-directory", ["eval", "--manifest", synth, *lr_a, "--out", "{out}"]),
+        # both the manifest and the output are bad: the output is checked first
+        ("bad/manifest-not-utf8-and-out-in-missing-directory",
+         ["eval", "--manifest", f"{bad}/not_utf8.json", "--out", "{out}/missing/r.json"]),
+        # the synth output directory cannot be made
+        ("bad/synth-out-dir-is-a-file",
+         ["synth", "--out-dir", f"{bad}/signal.csv", "--n", "1"]),
+        ("bad/synth-out-dir-under-a-file",
+         ["synth", "--out-dir", f"{bad}/signal.csv/sub", "--n", "1"]),
     ]
     for name in BAD_ENTRIES:
         cases.append((f"bad/manifest-{name}",
