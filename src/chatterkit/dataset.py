@@ -161,9 +161,9 @@ def load_manifest(path, config_ids=None, record_ids=None):
     """Load a JSON manifest and the signal files of the records asked for.
 
     Every entry is validated (keys, label, string file and ids, positive
-    rate and cutting parameters, file existence, config_id reuse); only
-    the records of `config_ids` that are also in `record_ids`, in manifest
-    order, are parsed and returned.
+    rate and cutting parameters, file existence, config_id reuse, repeated
+    record_id); only the records of `config_ids` that are also in
+    `record_ids`, in manifest order, are parsed and returned.
     None means every config, or every record. Each of `config_ids` must be
     in the manifest and then each of `record_ids` among those configs.
     """
@@ -181,7 +181,7 @@ def load_manifest(path, config_ids=None, record_ids=None):
 
     required = {"file", "sample_rate_hz", "overhang_cm", "rpm", "depth_cm", "label"}
     valid = []  # (record id, rate, label, signal path, config)
-    seen_configs = {}
+    seen_configs, seen_records = {}, {}
     for i, entry in enumerate(entries):
         where = f"{path}: entry {i}"
         if not isinstance(entry, dict) or not required.issubset(entry):
@@ -197,6 +197,9 @@ def load_manifest(path, config_ids=None, record_ids=None):
                            ("record_id", record_id)):
             if not isinstance(value, str):
                 raise ManifestError(f"{where}: {key} must be a string, got {value!r}")
+        if seen_records.setdefault(record_id, i) != i:
+            raise ManifestError(f"{path}: entries {seen_records[record_id]} and {i} "
+                                f"share record_id {record_id!r}")
         sig_path = path.parent / entry["file"]
         if not sig_path.is_file():
             raise ManifestError(f"{where}: signal file not found: {sig_path}")
@@ -289,7 +292,19 @@ def check_writable(path):
 
 def write_corpus(out_dir, ds):
     """Write ds as load_manifest reads it: one `<record_id>.csv` of CRLF-ended
-    `repr(float)` lines per record, then manifest.json; returns its path."""
+    `repr(float)` lines per record, then manifest.json; returns its path.
+
+    Nothing is written when a record id repeats or is not a plain file-name
+    stem (empty, `.`, `..`, or holding a path separator or NUL).
+    """
+    seen = set()
+    for rec in ds.records:
+        rid = rec.record_id
+        if rid in ("", ".", "..") or set(rid) & {"/", os.sep, os.altsep, "\0"}:
+            raise OutputError(f"{out_dir}: record id {rid!r} is not a plain file name")
+        if rid in seen:
+            raise OutputError(f"{out_dir}: record id {rid!r} names two records")
+        seen.add(rid)
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -329,3 +330,32 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path):
     plain.write_text("")
     dataset.atomic_write(tmp_path / "atomic", "")
     assert os.stat(tmp_path / "atomic").st_mode == os.stat(plain).st_mode
+
+
+@pytest.mark.parametrize("ids,bad", [
+    (["r", "s", "r"], "'r' names two records"),
+    (["r", "../escaped"], "'../escaped' is not a plain file name"),
+    (["r", "a/b"], "'a/b' is not a plain file name"),
+    (["", "r"], "'' is not a plain file name"),
+    (["r", "."], "'.' is not a plain file name"),
+    (["r", ".."], "'..' is not a plain file name"),
+    (["r", "a\0b"], "'a\\x00b' is not a plain file name"),
+])
+def test_write_corpus_rejects_ids_that_are_not_one_file_each(tmp_path, ids, bad):
+    config = CuttingConfig(5.08, 320.0, 0.0127, "a")
+    ds = LabeledDataset(records=tuple(
+        TimeSeries([float(i)], 10000.0, config, RawLabel.STABLE, rid)
+        for i, rid in enumerate(ids)))
+    out = tmp_path / "sub" / "corpus"
+    with pytest.raises(OutputError, match="^" + re.escape(f"{out}: record id {bad}")):
+        dataset.write_corpus(out, ds)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_repeated_record_id_names_both_entries(tmp_path):
+    entries = [entry(f"{name}.csv", "stable") for name in "abc"]
+    for e, rid in zip(entries, ["x", "y", "x"]):
+        e["record_id"] = rid
+    manifest = write_corpus(tmp_path, entries)
+    with pytest.raises(ManifestError, match=r"entries 0 and 2 share record_id 'x'$"):
+        load_manifest(manifest)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal
 
@@ -201,3 +201,92 @@ def test_blow_up_stage_is_the_first_non_finite_state(stages, x):
     finite = np.isfinite(zf).all(axis=1)
     assert not finite[k] and finite[:k].all()
     assert k <= replay_stage
+
+
+def _butter_outcome(order, cutoff, rate):
+    """signal.butter's sections as bytes, or the kind of FilterDesignError
+    the package raises in their place: "gain" where scipy overflows or
+    returns a non-finite array, "unstable" for a pole on or outside the
+    unit circle."""
+    with np.errstate(all="ignore"):
+        try:
+            sos = signal.butter(order, cutoff, fs=rate, output="sos")
+        except OverflowError:
+            return "gain"
+    if not np.all(np.isfinite(sos)):
+        return "gain"
+    if any(np.any(np.abs(np.roots(stage[3:])) >= 1.0) for stage in sos):
+        return "unstable"
+    return sos.tobytes()
+
+
+def _design_outcome(order, cutoff, rate):
+    try:
+        return design_butterworth_lowpass.__wrapped__(cutoff, rate, order).tobytes()
+    except FilterDesignError as exc:
+        return "gain" if "gain" in str(exc) else "unstable"
+
+
+_RATES = (1000.0, 10000.0, 20000.0, 44100.0, 48000.0, 96000.0, 160000.0, 192000.0)
+
+
+def test_design_is_scipy_butter_bit_for_bit_on_a_grid():
+    cases = [(order, frac * rate / 2, rate)
+             for order in (2, 4, 6, 8, 10, 16, 20, 32, 50, 64, 100, 120, 200, 256, 300, 400)
+             for rate in _RATES for frac in (1e-15, 1e-9, 1e-5, 1e-3, 0.05, 0.45, 0.9, 0.999)]
+    outcomes = [_design_outcome(*case) for case in cases]
+    assert outcomes == [_butter_outcome(*case) for case in cases]
+    kinds = {o if isinstance(o, str) else "equal" for o in outcomes}
+    assert kinds == {"equal", "gain", "unstable"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 200), st.floats(1000.0, 192000.0),
+       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_design_is_scipy_butter_bit_for_bit(half_order, rate, frac):
+    order, cutoff = 2 * half_order, frac * rate / 2
+    if 0 < cutoff < rate / 2:
+        assert _design_outcome(order, cutoff, rate) == _butter_outcome(order, cutoff, rate)
+
+
+@pytest.mark.parametrize("order,cutoff,rate", [(520, 4999.0, 20000.0),
+                                               (700, 4500.0, 160000.0),
+                                               (2000, 18000.0, 160000.0)])
+def test_gain_that_is_not_finite_is_a_design_error(order, cutoff, rate):
+    assert _butter_outcome(order, cutoff, rate) == "gain"
+    with pytest.raises(FilterDesignError,
+                       match=f"^order {order} with cutoff {cutoff} Hz: the filter gain"):
+        design_butterworth_lowpass(cutoff, rate, order)
+
+
+@pytest.mark.parametrize("order", [2, 8, 100])
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(1, 320000), seed=st.integers(0, 2**32 - 1),
+       frac=st.floats(0.01, 0.95))
+@example(n=1, seed=0, frac=0.5)
+@example(n=320000, seed=0, frac=0.1125)
+def test_filter_is_scipy_sosfilt_bit_for_bit(order, n, seed, frac):
+    sos = design_butterworth_lowpass(frac * RATE / 2, RATE, order)
+    x = 1e3 * np.random.default_rng(seed).normal(size=n)
+    want = signal.sosfilt(sos.copy(), x)
+    assert apply_filter(sos, x).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_kernel_falls_back_to_public_sosfilt(monkeypatch):
+    from chatterkit import preprocess
+
+    assert preprocess._sosfilt().__module__ == "scipy.signal._sosfilt"
+    monkeypatch.setattr(preprocess, "EXTENSION_SUFFIXES", [".missing.so"])
+    fallback = preprocess._sosfilt.__wrapped__()
+    assert fallback.__module__ == "chatterkit.preprocess"
+    monkeypatch.setattr(preprocess, "_sosfilt", lambda: fallback)
+    rng = np.random.default_rng(3)
+    for order, n in ((2, 1), (8, 1000), (100, 320000)):
+        sos = design_butterworth_lowpass(4500.0, RATE, order)
+        x = rng.normal(size=n)
+        want = signal.sosfilt(sos.copy(), x)
+        assert apply_filter(sos, x).view(np.int64).tolist() == want.view(np.int64).tolist()
+    sos = np.tile([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], (5, 1))
+    sos[2, 4] = -10.0
+    with pytest.raises(NumericalInstabilityError, match="stage 2 of 5$"):
+        apply_filter(sos, np.ones(1000))

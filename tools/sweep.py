@@ -108,6 +108,9 @@ def all_cases(work):
         ("ingest/eval/lr/order-8-cutoff-1000",
          ["eval", "--manifest", ingest, "--config-id", "A", "--classifier", "lr",
           "--filter-order", "8", "--cutoff-hz", "1000", "--out", "{out}/r.json"]),
+        ("ingest/eval/lr/order-2",
+         ["eval", "--manifest", ingest, "--config-id", "A", "--classifier", "lr",
+          "--filter-order", "2", "--out", "{out}/r.json"]),
         ("ingest/dump-transform/psd/order-8-cutoff-1000",
          ["dump-transform", "--manifest", ingest, "--record-id", "ingest_160k_A_chatter_0",
           "--kind", "psd", "--filter-order", "8", "--cutoff-hz", "1000",
@@ -128,9 +131,13 @@ def all_cases(work):
                         ("--test-frac", "1.5"), ("--test-frac", "0"),
                         ("--target-rate-hz", "20000")):
         cases.append((f"bad/eval{flag}={value}", eval_synth + [flag, value]))
+    # order 700: the design's gain is not finite; order 2000 with an 18 kHz
+    # cutoff: computing the gain overflows
     for flag, value in (("--cutoff-hz", "9000"), ("--filter-order", "3"),
-                        ("--target-rate-hz", "3000")):
+                        ("--target-rate-hz", "3000"), ("--filter-order", "700")):
         cases.append((f"bad/ingest-eval{flag}={value}", eval_ingest + [flag, value]))
+    cases.append(("bad/ingest-eval--target-rate-hz=40000--filter-order=2000",
+                  eval_ingest + ["--target-rate-hz", "40000", "--filter-order", "2000"]))
     for flag, value in (("--n", "0"), ("--noise-b", "-1"), ("--freq-a", "0"),
                         ("--freq-a", "-800")):
         cases.append((f"bad/synth{flag}={value}",
