@@ -42,10 +42,11 @@ def _config(args):
     return featurize.PipelineConfig(**{name: getattr(args, name) for name in names})
 
 
-def _load(args, record_ids=None):
-    """The records of the --config-id group, or of the whole manifest."""
+def _load(args, cfg, record_ids=None):
+    """The records of the --config-id group, or of the whole manifest; each
+    record's rate is checked against cfg before any signal is read."""
     config_ids = [args.config_id] if args.config_id else None
-    return load_manifest(args.manifest, config_ids, record_ids)
+    return load_manifest(args.manifest, config_ids, record_ids, cfg.check_rate)
 
 
 def _matrix(ds, cfg):
@@ -59,7 +60,7 @@ def _matrix(ds, cfg):
 def _features(args):
     """Feature matrix of the --config-id group (or the whole manifest)."""
     cfg = _config(args)
-    return _matrix(_load(args), cfg)
+    return _matrix(_load(args, cfg), cfg)
 
 
 def _write_csv(path, header, rows):
@@ -119,7 +120,8 @@ def cmd_cv(args):
 def cmd_transfer(args):
     cfg = _config(args)
     config_ids = (args.source_config, args.target_config)
-    groups = split_by_config(load_manifest(args.manifest, config_ids))
+    groups = split_by_config(load_manifest(args.manifest, config_ids,
+                                           check_rate=cfg.check_rate))
     source, target = (_matrix(groups[cid], cfg) for cid in config_ids)
     result = evaluate.transfer_eval(
         source, target, args.classifier, use_rfe=args.rfe == "on", seed=args.seed
@@ -145,7 +147,8 @@ def cmd_rank_report(args):
 
 
 def cmd_dump_transform(args):
-    rec = _config(args).to_working_rate(_load(args, [args.record_id]).records[0])
+    cfg = _config(args)
+    rec = cfg.to_working_rate(_load(args, cfg, [args.record_id]).records[0])
     fn = {
         "fft": transform.amplitude_spectrum,
         "psd": transform.power_spectral_density,

@@ -157,7 +157,7 @@ def _positive(where, entry, key):
     return value
 
 
-def load_manifest(path, config_ids=None, record_ids=None):
+def load_manifest(path, config_ids=None, record_ids=None, check_rate=None):
     """Load a JSON manifest and the signal files of the records asked for.
 
     Every entry is validated (keys, label, string file and ids, positive
@@ -166,6 +166,8 @@ def load_manifest(path, config_ids=None, record_ids=None):
     `record_ids`, in manifest order, are parsed and returned.
     None means every config, or every record. Each of `config_ids` must be
     in the manifest and then each of `record_ids` among those configs.
+    `check_rate(record_id, sample_rate_hz)`, if given, runs on each of
+    those records before any signal file is read.
     """
     path = Path(path)
     if not path.is_file():
@@ -232,6 +234,9 @@ def load_manifest(path, config_ids=None, record_ids=None):
     for record_id in record_ids or ():
         if record_id not in found:
             raise ManifestError(f"dataset: record {record_id!r} not found")
+    if check_rate is not None:
+        for record_id, rate, *_ in chosen:
+            check_rate(record_id, rate)
     records = tuple(
         TimeSeries(
             samples=_read_signal(sig_path),

@@ -65,6 +65,13 @@ class PipelineConfig:
                tf.Kind.PSD: self.mpd_psd}[kind]
         return pk.PeakConstraints(alpha=self.alpha, mpd=mpd, n_peaks=self.n_peaks)
 
+    def check_rate(self, record_id, rate_hz):
+        """Raise the FilterDesignError that to_working_rate would raise for
+        a record at rate_hz, without its samples."""
+        if rate_hz != self.target_rate_hz:
+            preprocess.decimation_filter(record_id, rate_hz, self.target_rate_hz,
+                                         self.cutoff_hz, self.filter_order)
+
     def to_working_rate(self, ts):
         """Pass a record at the working rate through; decimate one captured above it.
 

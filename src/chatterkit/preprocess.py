@@ -48,7 +48,8 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
     scaled to the cutoff prewarped at fs = 2 and mapped by the bilinear
     transform; zeros all at -1; conjugate poles paired into sections, the
     pole nearest the unit circle last; the gain in section 0. A gain that
-    is not a finite number raises FilterDesignError.
+    is not a finite number, or that underflows to 0 (the filter would
+    output silence), raises FilterDesignError.
 
     Cached by its arguments (a design error is raised on every call), so
     the returned array is shared and read-only.
@@ -83,6 +84,10 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
         sos[k] = [1.0, 2.0, 1.0, *a.real]
     with np.errstate(all="ignore"):
         sos[0, :3] *= gain
+    if gain == 0:
+        raise FilterDesignError(
+            f"order {order} with cutoff {cutoff_hz} Hz: the filter gain underflows to 0"
+        )
     if not np.all(np.isfinite(sos)):
         raise FilterDesignError(
             f"order {order} with cutoff {cutoff_hz} Hz: the filter gain is not a finite number"
@@ -139,23 +144,37 @@ def apply_filter(sos, x):
     return y[0]
 
 
-def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):
-    """Low-pass then keep every factor-th sample.
+def decimation_filter(record_id, rate_hz, target_rate_hz, cutoff_hz=None,
+                      order=DEFAULT_ORDER):
+    """(factor, sections) that take a record at rate_hz to target_rate_hz.
 
-    The source rate must be an integer multiple of the target rate. When
-    target equals source the signal passes through untouched.
+    The source rate must be an integer multiple of the target rate, else
+    FilterDesignError names the record. A factor of 1 needs no filter
+    (sections None). Everything here depends only on the settings and the
+    rate, so a caller can check a record before reading its samples.
     """
-    factor = ts.sample_rate_hz / target_rate_hz
+    factor = rate_hz / target_rate_hz
     if abs(factor - round(factor)) > 1e-9 or factor < 1:
         raise FilterDesignError(
-            f"record {ts.record_id!r}: decimation factor {factor} is not a positive "
-            f"integer ({ts.sample_rate_hz} Hz -> {target_rate_hz} Hz)"
+            f"record {record_id!r}: decimation factor {factor} is not a positive "
+            f"integer ({rate_hz} Hz -> {target_rate_hz} Hz)"
         )
     factor = int(round(factor))
     if factor == 1:
-        return ts
+        return 1, None
     if cutoff_hz is None:
         cutoff_hz = CUTOFF_SAFETY * (target_rate_hz / 2.0)
-    sos = design_butterworth_lowpass(cutoff_hz, ts.sample_rate_hz, order)
+    return factor, design_butterworth_lowpass(cutoff_hz, rate_hz, order)
+
+
+def decimate(ts, target_rate_hz, cutoff_hz=None, order=DEFAULT_ORDER):
+    """Low-pass then keep every factor-th sample (see `decimation_filter`).
+
+    When target equals source the signal passes through untouched.
+    """
+    factor, sos = decimation_filter(ts.record_id, ts.sample_rate_hz, target_rate_hz,
+                                    cutoff_hz, order)
+    if factor == 1:
+        return ts
     return replace(ts, samples=apply_filter(sos, ts.samples)[::factor],
                    sample_rate_hz=float(target_rate_hz))

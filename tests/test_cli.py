@@ -272,6 +272,44 @@ def test_output_is_checked_before_any_signal_is_parsed(corpus, tmp_path, monkeyp
     assert parsed == []
 
 
+def test_filter_design_is_checked_before_any_signal_is_parsed(corpus_20k, tmp_path,
+                                                             monkeypatch, capsys):
+    at_rate = synthgen.SynthSpec(n_per_class=2, seed=1, config_id="at_rate")
+    slow = synthgen.SynthSpec(n_per_class=2, sample_rate_hz=5000.0, seed=2,
+                              chatter_freq_hz=1600.0, config_id="slow")
+    below = dataset.write_corpus(tmp_path / "below", synthgen.make_dataset(at_rate, slow))
+    slow_id = _group(below, "slow").records[0].record_id
+    fast_id = _group(corpus_20k, "fast_b").records[0].record_id
+    parsed = _record_calls(monkeypatch, dataset, "_read_signal")
+    out = tmp_path / "out"
+    cases = [  # (manifest, configs, flags, the error line the parent printed after parsing)
+        (corpus_20k, ("fast_a", "fast_b"), ["--filter-order", "700"],
+         "error: order 700 with cutoff 4500.0 Hz: the filter gain is not a finite number"),
+        (corpus_20k, ("fast_a", "fast_b"), ["--filter-order", "200", "--cutoff-hz", "100"],
+         "error: order 200 with cutoff 100.0 Hz: the filter gain underflows to 0"),
+        (below, ("at_rate", "slow"), [],
+         f"error: record {slow_id!r}: decimation factor 0.5 is not a positive integer "
+         "(5000.0 Hz -> 10000.0 Hz)"),
+    ]
+    for manifest, (source, target), flags, line in cases:
+        m = ["--manifest", str(manifest), *flags]
+        argvs = [
+            ["features", *m, "--features-out", str(out)],
+            ["eval", *m, "--classifier", "lr", "--reps", "2", "--out", str(out)],
+            ["cv", *m, "--classifier", "lr", "--folds", "2", "--out", str(out)],
+            ["transfer", *m, "--source-config", source, "--target-config", target,
+             "--classifier", "lr", "--out", str(out)],
+            ["rank-report", *m, "--classifier", "lr", "--reps", "2", "--out", str(out)],
+            ["dump-transform", *m, "--record-id", fast_id if manifest == corpus_20k
+             else slow_id, "--kind", "fft", "--out", str(out)],
+        ]
+        for argv in argvs:
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().err.splitlines()[-1] == line, argv
+            assert parsed == [], argv
+    assert not out.exists()
+
+
 def test_synth_out_dir_that_cannot_be_made_is_an_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("x")

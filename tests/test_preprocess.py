@@ -206,7 +206,8 @@ def test_blow_up_stage_is_the_first_non_finite_state(stages, x):
 def _butter_outcome(order, cutoff, rate):
     """signal.butter's sections as bytes, or the kind of FilterDesignError
     the package raises in their place: "gain" where scipy overflows or
-    returns a non-finite array, "unstable" for a pole on or outside the
+    returns a non-finite array, "zero" where its gain underflows (section
+    0's numerator is all zeros), "unstable" for a pole on or outside the
     unit circle."""
     with np.errstate(all="ignore"):
         try:
@@ -215,6 +216,8 @@ def _butter_outcome(order, cutoff, rate):
             return "gain"
     if not np.all(np.isfinite(sos)):
         return "gain"
+    if not np.any(sos[0, :3]):
+        return "zero"
     if any(np.any(np.abs(np.roots(stage[3:])) >= 1.0) for stage in sos):
         return "unstable"
     return sos.tobytes()
@@ -224,6 +227,8 @@ def _design_outcome(order, cutoff, rate):
     try:
         return design_butterworth_lowpass.__wrapped__(cutoff, rate, order).tobytes()
     except FilterDesignError as exc:
+        if "underflows" in str(exc):
+            return "zero"
         return "gain" if "gain" in str(exc) else "unstable"
 
 
@@ -237,7 +242,7 @@ def test_design_is_scipy_butter_bit_for_bit_on_a_grid():
     outcomes = [_design_outcome(*case) for case in cases]
     assert outcomes == [_butter_outcome(*case) for case in cases]
     kinds = {o if isinstance(o, str) else "equal" for o in outcomes}
-    assert kinds == {"equal", "gain", "unstable"}
+    assert kinds == {"equal", "gain", "zero", "unstable"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -257,6 +262,21 @@ def test_gain_that_is_not_finite_is_a_design_error(order, cutoff, rate):
     with pytest.raises(FilterDesignError,
                        match=f"^order {order} with cutoff {cutoff} Hz: the filter gain"):
         design_butterworth_lowpass(cutoff, rate, order)
+
+
+@pytest.mark.parametrize("order,cutoff,rate", [(302, 4500.0, 160000.0),
+                                               (480, 4500.0, 160000.0),
+                                               (492, 4500.0, 160000.0),
+                                               (200, 100.0, 20000.0)])
+def test_gain_that_underflows_is_a_design_error(order, cutoff, rate):
+    assert _butter_outcome(order, cutoff, rate) == "zero"
+    with pytest.raises(FilterDesignError,
+                       match=f"^order {order} with cutoff {cutoff} Hz: the filter gain "
+                             "underflows to 0$"):
+        design_butterworth_lowpass(cutoff, rate, order)
+    # the orders around the 160 kHz band: a working filter, a gain that is not finite
+    assert isinstance(_design_outcome(300, 4500.0, 160000.0), bytes)
+    assert _design_outcome(494, 4500.0, 160000.0) == "gain"
 
 
 @pytest.mark.parametrize("order", [2, 8, 100])

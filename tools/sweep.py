@@ -11,11 +11,15 @@ different directories compare equal when the program behaves the same.
 
 The cases cover every subcommand, all four classifiers with RFE on and
 off, settings that must end in `error: ...`, unreadable inputs and
-unwritable outputs, and `Model.to_json` round trips, on two corpora:
+unwritable outputs, and `Model.to_json` round trips, on three corpora:
   - synth: `chatterkit synth --n 30 --seed 0` (10 kHz; itself a case);
   - ingest: perfbench/corpus.py's `ingest_160k` at seed 0 (160 kHz, so
-    every matrix command decimates), written by this checkout's copy of
-    that module, so both sides of a comparison read the same bytes.
+    every matrix command decimates);
+  - trees: perfbench/corpus.py's `rfe_trees` at seed 0 (overlapping
+    classes, so rf and gb under RFE grow deep trees), with the peak
+    settings of the rfe_trees workload;
+the last two written by this checkout's copy of that module, so both
+sides of a comparison read the same bytes.
 
 To show that a change alters no output, sweep the parent and the change
 and compare:
@@ -119,6 +123,15 @@ def all_cases(work):
          ["features", "--manifest", ingest, "--target-rate-hz", "20000",
           "--features-out", "{out}/f.csv"]),
     ]
+    trees = ["--manifest", f"{work}/trees/manifest.json", "--rfe", "on", "--n-peaks", "5"]
+    for kind in ("rf", "gb"):
+        cases += [
+            (f"trees/eval/{kind}/rfe-on",
+             ["eval", *trees, "--classifier", kind, "--reps", "1", "--test-frac", "0.5",
+              "--out", "{out}/r.json"]),
+            (f"trees/cv/{kind}/rfe-on",
+             ["cv", *trees, "--classifier", kind, "--folds", "2", "--out", "{out}/r.json"]),
+        ]
     for kind in KINDS:
         cases.append((f"to-json/{kind}", ["-c", TO_JSON, synth, kind]))
 
@@ -131,10 +144,11 @@ def all_cases(work):
                         ("--test-frac", "1.5"), ("--test-frac", "0"),
                         ("--target-rate-hz", "20000")):
         cases.append((f"bad/eval{flag}={value}", eval_synth + [flag, value]))
-    # order 700: the design's gain is not finite; order 2000 with an 18 kHz
-    # cutoff: computing the gain overflows
+    # order 480: the design's gain underflows to 0; order 700: it is not
+    # finite; order 2000 with an 18 kHz cutoff: computing it overflows
     for flag, value in (("--cutoff-hz", "9000"), ("--filter-order", "3"),
-                        ("--target-rate-hz", "3000"), ("--filter-order", "700")):
+                        ("--target-rate-hz", "3000"), ("--filter-order", "480"),
+                        ("--filter-order", "700")):
         cases.append((f"bad/ingest-eval{flag}={value}", eval_ingest + [flag, value]))
     cases.append(("bad/ingest-eval--target-rate-hz=40000--filter-order=2000",
                   eval_ingest + ["--target-rate-hz", "40000", "--filter-order", "2000"]))
@@ -215,11 +229,12 @@ BAD_ENTRIES = {
 
 
 def write_fixtures(work, synth):
-    """The ingest_160k corpus and the unreadable or malformed inputs."""
+    """The ingest_160k and rfe_trees corpora and the unreadable or malformed inputs."""
     sys.path.insert(0, str(HERE / "perfbench"))
     import corpus
 
     corpus.write(corpus.INGEST_160K, 0, Path(work) / "ingest")
+    corpus.write(corpus.RFE_TREES, 0, Path(work) / "trees")
     bad = Path(work) / "bad"
     bad.mkdir()
     (bad / "not_utf8.json").write_bytes(b"[\xff]")
