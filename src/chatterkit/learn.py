@@ -116,7 +116,7 @@ class Model:
 
     def _check_width(self, X):
         X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or (X.size and X.shape[1] != len(self.feature_names)):
+        if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise FitError(
                 f"expected {len(self.feature_names)} features, got "
                 f"{X.shape[1] if X.ndim == 2 else '?'}"
@@ -214,6 +214,8 @@ def fit(kind, X, y, seed=0, feature_names=None):
         raise FitError("training labels contain a single class")
     if feature_names is None:
         feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
+    if len(feature_names) != X.shape[1]:
+        raise FitError(f"{len(feature_names)} feature names for {X.shape[1]} features")
     y_signed = 2.0 * y - 1.0
 
     scaler = None

@@ -68,6 +68,12 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
             gain = wo**order * np.real(1.0 / np.prod(4.0 - p))
         except OverflowError:
             gain = np.inf
+    # checked before the pairing, which takes time quadratic in the order
+    bad_gain = f"order {order} with cutoff {cutoff_hz} Hz: the filter gain"
+    if gain == 0:
+        raise FilterDesignError(f"{bad_gain} underflows to 0")
+    if not np.isfinite(gain):
+        raise FilterDesignError(f"{bad_gain} is not a finite number")
     p = _conjugate_pairs((4.0 + p) / (4.0 - p))
 
     sos = np.zeros((order // 2, 6))
@@ -84,14 +90,8 @@ def design_butterworth_lowpass(cutoff_hz, sample_rate_hz, order=DEFAULT_ORDER):
         sos[k] = [1.0, 2.0, 1.0, *a.real]
     with np.errstate(all="ignore"):
         sos[0, :3] *= gain
-    if gain == 0:
-        raise FilterDesignError(
-            f"order {order} with cutoff {cutoff_hz} Hz: the filter gain underflows to 0"
-        )
     if not np.all(np.isfinite(sos)):
-        raise FilterDesignError(
-            f"order {order} with cutoff {cutoff_hz} Hz: the filter gain is not a finite number"
-        )
+        raise FilterDesignError(f"{bad_gain} is not a finite number")
     for k, stage in enumerate(sos):
         poles = np.roots(stage[3:])
         if np.any(np.abs(poles) >= 1.0):

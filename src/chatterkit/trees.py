@@ -28,8 +28,9 @@ A row at split node i goes left when X[row, feature[i]] <= threshold[i].
 A leaf has `left == right == feature == -1`. Every node, split or leaf,
 holds a `value`: the majority class (int) or the leaf value (float).
 `depth` is the longest root-to-leaf path, the number of steps `predict`
-takes. The forest stacks the node arrays of all its trees and moves
-every row down all of them at once, summing the integer votes exactly.
+takes. Every prediction is one lookup through the stacked node arrays of
+all the trees, `_leaf_values`: the forest sums its integer votes, which
+is exact, and boosting adds its scaled leaf values in stage order.
 """
 
 import numpy as np
@@ -214,26 +215,44 @@ def _preorder(nodes):
             for f, th, lo, hi, *rest in (nodes[i] for i in order)]
 
 
-def _descend(X, feature, threshold, left, right, roots, depth):
-    """The node each row of X reaches from each root: (rows, roots) indices.
+def _leaf_values(trees, X):
+    """Each tree's leaf value for each row of X: a (rows, trees) array.
 
-    Every row moves down one level per step: each row's next node from
-    every node is one rows x nodes table, then one lookup per level; a
-    leaf (feature -1 reads the last column) is overwritten to lead to
-    itself.
+    Every row moves down the trees' node arrays, stacked end to end, one
+    level per step: each row's next node from every node is one rows x
+    nodes table, then one lookup per level; a leaf (feature -1 reads the
+    last column) is overwritten to lead to itself.
     """
-    if not depth:
-        return roots + np.zeros((X.shape[0], 1), dtype=np.intp)
-    step = np.where(X[:, feature] <= threshold, left, right)
-    leaves = np.flatnonzero(feature < 0)
-    step[:, leaves] = leaves
-    start = np.arange(0, step.size, feature.size)[:, None]  # each row's table
-    step += start
-    node = start + roots
-    step = step.ravel()
-    for _ in range(depth):
-        node = step[node]
-    return node - start
+    X = np.asarray(X, dtype=float)
+    sizes = [tree.value.size for tree in trees]
+    roots = np.cumsum(sizes) - sizes
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    node = roots + np.zeros((X.shape[0], 1), dtype=np.intp)
+    depth = max(tree.depth for tree in trees)
+    if depth:
+        first = np.repeat(roots, sizes)  # each node's tree's root
+        step = np.where(X[:, feature] <= threshold, left + first, right + first)
+        leaves = np.flatnonzero(feature < 0)
+        step[:, leaves] = leaves
+        start = np.arange(0, step.size, feature.size)[:, None]  # each row's table
+        step += start
+        node += start
+        step = step.ravel()
+        for _ in range(depth):
+            node = step[node]
+        node -= start
+    return value[node]
+
+
+def _importance(trees, d):
+    """The trees' importances summed over d features, normalized to sum 1."""
+    total = np.zeros(d)
+    for tree in trees:
+        total += tree.importance_
+    s = total.sum()
+    return total / s if s > 0 else total
 
 
 class Tree:
@@ -275,10 +294,7 @@ class Tree:
 
     def predict(self, X):
         """Leaf values for all rows, moving every row down one level per step."""
-        X = np.asarray(X, dtype=float)
-        node = _descend(X, self.feature, self.threshold, self.left, self.right, 0,
-                        self.depth)
-        return self.value[node[:, 0]]
+        return _leaf_values([self], X)[:, 0]
 
     def to_dict(self):
         """The tree as nested dicts: leaves {"value"}, splits also
@@ -343,25 +359,11 @@ class RandomForest:
 
     def decision_function(self, X):
         """Fraction of trees voting 1, less 0.5."""
-        X = np.asarray(X, dtype=float)
-        sizes = [tree.value.size for tree in self.trees]
-        roots = np.cumsum([0] + sizes[:-1])
-
-        def stacked(name, offset=False):
-            return np.concatenate([getattr(tree, name) + (root if offset else 0)
-                                   for tree, root in zip(self.trees, roots)])
-
-        node = _descend(X, stacked("feature"), stacked("threshold"), stacked("left", True),
-                        stacked("right", True), roots, max(t.depth for t in self.trees))
-        votes = stacked("value")[node].sum(axis=1)  # integers: the sum is exact
+        votes = _leaf_values(self.trees, X).sum(axis=1)  # integers: the sum is exact
         return votes / len(self.trees) - 0.5
 
     def importance(self):
-        total = np.zeros(self.n_features)
-        for tree in self.trees:
-            total += tree.importance_
-        s = total.sum()
-        return total / s if s > 0 else total
+        return _importance(self.trees, self.n_features)
 
 
 class GradientBoosting:
@@ -417,15 +419,12 @@ class GradientBoosting:
 
     def decision_function(self, X):
         F = np.full(np.asarray(X).shape[0], self.base_score)
-        for tree, scale in self.stages:
-            F += scale * tree.predict(X)
+        if self.stages:
+            leaves = _leaf_values([tree for tree, _ in self.stages], X)
+            for (_, scale), column in zip(self.stages, leaves.T):
+                F += scale * column
         return F
 
     def importance(self):
         d = self.stages[0][0].importance_.size if self.stages else 0
-        total = np.zeros(d)
-        for tree, scale in self.stages:
-            if scale > 0:
-                total += tree.importance_
-        s = total.sum()
-        return total / s if s > 0 else total
+        return _importance([tree for tree, scale in self.stages if scale > 0], d)

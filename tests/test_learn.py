@@ -71,6 +71,18 @@ def test_predict_empty_rows():
     assert model.predict(np.zeros((0, 2))).size == 0
 
 
+@pytest.mark.parametrize("kind", learn.KINDS)
+def test_width_is_checked_on_every_matrix(kind):
+    X, y = separable_blobs(20, d=6)
+    model = fit(kind, X, y, seed=1)
+    for bad in (np.zeros((5, 0)), np.zeros((0, 5)), np.zeros((3, 7)), np.zeros(6)):
+        with pytest.raises(FitError, match="^expected 6 features"):
+            model.predict(bad)
+    assert model.predict(np.zeros((0, 6))).size == 0
+    with pytest.raises(FitError, match="^2 feature names for 6 features$"):
+        fit(kind, X, y, seed=1, feature_names=("a", "b"))
+
+
 def test_predict_width_mismatch():
     X, y = separable_blobs(20)
     model = fit("rf", X, y, seed=1)

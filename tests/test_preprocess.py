@@ -279,6 +279,22 @@ def test_gain_that_underflows_is_a_design_error(order, cutoff, rate):
     assert _design_outcome(494, 4500.0, 160000.0) == "gain"
 
 
+@pytest.mark.parametrize("order,error", [(480, "underflows to 0"),
+                                         (2000, "is not a finite number")])
+def test_gain_errors_come_before_the_pole_pairing(monkeypatch, order, error):
+    """The pairing takes time quadratic in the order; a design the gain
+    already rules out must not wait for it."""
+    from chatterkit import preprocess
+
+    def no_pairing(p):
+        raise AssertionError("the poles were paired")
+
+    monkeypatch.setattr(preprocess, "_conjugate_pairs", no_pairing)
+    with pytest.raises(FilterDesignError,
+                       match=f"^order {order} with cutoff 4500.0 Hz: the filter gain {error}$"):
+        design_butterworth_lowpass(4500.0, 160000.0, order)
+
+
 @pytest.mark.parametrize("order", [2, 8, 100])
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(1, 320000), seed=st.integers(0, 2**32 - 1),

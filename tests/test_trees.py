@@ -6,7 +6,8 @@ against the code they replaced.
 the old one-node kernel returned. `Tree` must grow, predict and
 serialise exactly as the old linked-node `ClassificationTree` and
 `RegressionTree` did, and as the recursive flat-array `Tree._build` did;
-`RandomForest` exactly as its old one-tree-at-a-time loop did, so that
+`RandomForest` exactly as its old one-tree-at-a-time loop did, and
+`GradientBoosting` as its old per-stage fit and predict did, so that
 seeded forests and boosted models stay byte-identical. The old code is
 kept here, unchanged, as the reference.
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chatterkit import learn
@@ -440,17 +441,33 @@ def test_gini_tree_matches_reference(problem, data):
         assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
-@settings(max_examples=300, deadline=None)
-@given(_tree_problem(st.one_of(_TIED, st.floats(-10, 10))), st.data())
-def test_regression_tree_matches_reference(problem, data):
-    X, t = problem
-    t = t.astype(float)
-    max_depth = data.draw(st.sampled_from([None, 3, 1]))
-    hessians = data.draw(st.one_of(st.none(), st.lists(
+@st.composite
+def _regression_problem(draw):
+    """(X, t, max_depth, hessians): a _tree_problem with float targets, a
+    depth limit and optional hessians."""
+    X, t = draw(_tree_problem(st.one_of(_TIED, st.floats(-10, 10))))
+    max_depth = draw(st.sampled_from([None, 3, 1]))
+    hessians = draw(st.one_of(st.none(), st.lists(
         st.one_of(st.sampled_from([0.0, 1e-13, 0.25]), st.floats(0, 0.25)),
-        min_size=t.size, max_size=t.size)))
-    if hessians is not None:
-        hessians = np.array(hessians)
+        min_size=t.size, max_size=t.size).map(np.array)))
+    return X, t.astype(float), max_depth, hessians
+
+
+def _signed_zero_leaf():
+    """A problem with a leaf of -0.0: the mean of 0.0 and -5e-324 (rows 7
+    and 17, the only ones with X = 1). Leaf values must keep that sign."""
+    X = np.zeros((18, 1))
+    X[[7, 17], 0] = 1.0
+    t = np.full(18, -1.0)
+    t[7], t[17] = 0.0, -5e-324
+    return X, t, None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_regression_problem())
+@example(_signed_zero_leaf())
+def test_regression_tree_matches_reference(problem):
+    X, t, max_depth, hessians = problem
     old, new = _fit_both(
         lambda: RegressionTree(max_depth=max_depth).fit(X, t, hessians),
         lambda: Tree(gini=False, max_depth=max_depth).fit(X, t, hessians),
@@ -493,6 +510,14 @@ def test_tree_node_arrays_are_pre_order():
     assert tree.feature.tolist() == [0, 0, -1, -1, 0, -1, -1]
     assert tree.depth == 2
     assert tree.predict(X).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+def test_boosting_without_stages_scores_its_base():
+    X, y = _digest_matrix()
+    doc = json.loads(learn.fit("gb", X, y).to_json())
+    doc["stages"] = []
+    model = learn.Model.from_json(json.dumps(doc))
+    assert model.decision_scores(X).tolist() == [doc["base_score"]] * len(X)
 
 
 def _simd_runtime():
@@ -651,8 +676,9 @@ class _LoopForest(RandomForest):
 
 
 class _PredictBoosting(GradientBoosting):
-    """`GradientBoosting.fit` before the lockstep grower, verbatim: each
-    round's tree grown by `_RecursiveTree`, its step read by predict."""
+    """`GradientBoosting` before the lockstep grower and the stacked leaf
+    lookup, verbatim: each round's tree grown by `_RecursiveTree`, its step
+    read by predict, and one predict call per stage to score."""
 
     @staticmethod
     def _logloss(F, y_signed):
@@ -688,6 +714,12 @@ class _PredictBoosting(GradientBoosting):
             self.loss_history_.append(loss)
             self.stages.append((tree, scale))
         return self
+
+    def decision_function(self, X):
+        F = np.full(np.asarray(X).shape[0], self.base_score)
+        for tree, scale in self.stages:
+            F += scale * tree.predict(X)
+        return F
 
 
 _STYLES = ("tied", "constant", "free", "rounded", "integer", "degenerate", "mirror")
@@ -743,7 +775,7 @@ def test_forest_matches_one_tree_at_a_time(X, data):
     assert _json("rf", new, X.shape[1], seed) == _json("rf", old, X.shape[1], seed)
     assert new.importance().tobytes() == old.importance().tobytes()
     shuffled = np.roll(X, 1, axis=0) + 0.25
-    for rows in (X, shuffled, X[:1]):
+    for rows in (X, shuffled, X[:1], X[:0]):
         assert new.decision_function(rows).tobytes() == old.decision_function(rows).tobytes()
 
 
@@ -756,7 +788,9 @@ def test_boosting_matches_predict_per_round(X, data):
     assert _json("gb", new, X.shape[1]) == _json("gb", old, X.shape[1])
     assert repr(new.loss_history_) == repr(old.loss_history_)
     assert new.importance().tobytes() == old.importance().tobytes()
-    assert new.decision_function(X).tobytes() == old.decision_function(X).tobytes()
+    shuffled = np.roll(X, 1, axis=0) + 0.25
+    for rows in (X, shuffled, X[:1], X[:0]):
+        assert new.decision_function(rows).tobytes() == old.decision_function(rows).tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

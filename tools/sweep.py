@@ -11,7 +11,8 @@ different directories compare equal when the program behaves the same.
 
 The cases cover every subcommand, all four classifiers with RFE on and
 off, settings that must end in `error: ...`, unreadable inputs and
-unwritable outputs, and `Model.to_json` round trips, on three corpora:
+unwritable outputs, and `Model.to_json` round trips with each model's
+scores on rows it never saw, on three corpora:
   - synth: `chatterkit synth --n 30 --seed 0` (10 kHz; itself a case);
   - ingest: perfbench/corpus.py's `ingest_160k` at seed 0 (160 kHz, so
     every matrix command decimates);
@@ -49,17 +50,20 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 # Fits each kind on synth_a's matrix, checks that from_json(to_json())
-# gives the same text and predictions, and prints the text.
+# gives the same text and predictions, and prints the text and the bytes
+# of the model's scores on synth_b's matrix, rows it never saw.
 TO_JSON = """
 import sys
 from chatterkit import PipelineConfig, build_matrix, learn, load_manifest
-fm = build_matrix(load_manifest(sys.argv[1], ["synth_a"]), PipelineConfig())
+fm, unseen = (build_matrix(load_manifest(sys.argv[1], [config]), PipelineConfig())
+              for config in ("synth_a", "synth_b"))
 model = learn.fit(sys.argv[2], fm.X, fm.y, seed=0, feature_names=fm.feature_names)
 text = model.to_json()
 again = learn.Model.from_json(text)
 assert again.to_json() == text
 assert (again.predict(fm.X) == model.predict(fm.X)).all()
 print(text)
+print(model.decision_scores(unseen.X).tobytes().hex())
 """
 
 
