@@ -29,23 +29,6 @@ def _sigmoid(z):
     return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
-def hinge_subgrad(w, Z1, y_signed, lam):
-    """A subgradient of the L2-regularized mean hinge loss.
-
-    Z1 carries an appended all-ones bias column; w includes the bias
-    weight as its last component.
-    """
-    viol = y_signed * (Z1 @ w) < 1.0
-    return lam * w - (Z1[viol].T @ y_signed[viol]) / y_signed.size
-
-
-def hinge_loss_subgrad(w, Z1, y_signed, lam):
-    """L2-regularized mean hinge loss and hinge_subgrad at w."""
-    margins = y_signed * (Z1 @ w)
-    loss = 0.5 * lam * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margins)))
-    return loss, hinge_subgrad(w, Z1, y_signed, lam)
-
-
 def logistic_loss_grad(w, b, Z, y_signed, lam):
     """L2-regularized mean logistic loss and its exact gradient."""
     n = y_signed.size
@@ -61,13 +44,30 @@ def _fit_svm(Z, y_signed):
     """Full-batch subgradient descent on the hinge objective (1/(lam*t) steps).
 
     Trains the weights and bias as one packed vector; returns (w, b).
+
+    Each epoch steps by the subgradient lam*w - pull, where the pull
+    (Z1[viol].T @ y_signed[viol]) / n depends only on the set of rows
+    whose margin is below 1. That set takes few distinct values over the
+    epochs, so each distinct set's pull is computed once, by that same
+    expression, and reused: the weights are bit-identical to recomputing
+    it every epoch.
+    The margins come from YZ1 = y_signed * Z1 in one product. y is +-1,
+    so the row scaling is exact and each row's dot product is the exact
+    negation of Z1's where y is -1, the same mask bit for bit.
     """
     n, d = Z.shape
     lam = 1.0 / (SVM_C * n)
     Z1 = np.hstack([Z, np.ones((n, 1))])
+    YZ1 = y_signed[:, None] * Z1
     w = np.zeros(d + 1)
+    pulls = {}
     for t in range(1, SVM_EPOCHS + 1):
-        w -= hinge_subgrad(w, Z1, y_signed, lam) / (lam * t)
+        viol = YZ1 @ w < 1.0
+        key = viol.tobytes()
+        pull = pulls.get(key)
+        if pull is None:
+            pull = pulls[key] = (Z1[viol].T @ y_signed[viol]) / n
+        w -= (lam * w - pull) / (lam * t)
     return w[:-1], w[-1]
 
 
@@ -205,7 +205,10 @@ def fit(kind, X, y, seed=0, feature_names=None):
     if kind not in KINDS:
         raise FitError(f"unknown classifier kind {kind!r} (expected one of {KINDS})")
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
+    labels = np.asarray(y)
+    if not np.isin(labels, (0, 1)).all():
+        raise FitError(f"labels must be 0 or 1, got {np.unique(labels).tolist()}")
+    y = labels.astype(int)
     if X.ndim != 2 or X.shape[0] < 2:
         raise FitError("need at least 2 rows")
     if not np.all(np.isfinite(X)):

@@ -1,15 +1,50 @@
+import hashlib
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chatterkit import learn
 from chatterkit.errors import FitError
+from chatterkit.featurize import standardize
 from chatterkit.learn import (
     Model,
     fit,
-    hinge_loss_subgrad,
     logistic_loss_grad,
 )
 from chatterkit.trees import GradientBoosting, RandomForest, Tree
+
+
+def hinge_subgrad(w, Z1, y_signed, lam):
+    """A subgradient of the L2-regularized mean hinge loss.
+
+    Z1 carries an appended all-ones bias column; w includes the bias
+    weight as its last component.
+    """
+    viol = y_signed * (Z1 @ w) < 1.0
+    return lam * w - (Z1[viol].T @ y_signed[viol]) / y_signed.size
+
+
+def hinge_loss_subgrad(w, Z1, y_signed, lam):
+    """L2-regularized mean hinge loss and hinge_subgrad at w."""
+    margins = y_signed * (Z1 @ w)
+    loss = 0.5 * lam * float(w @ w) + float(np.mean(np.maximum(0.0, 1.0 - margins)))
+    return loss, hinge_subgrad(w, Z1, y_signed, lam)
+
+
+def _reference_fit_svm(Z, y_signed):
+    """learn._fit_svm as it was before the pull was memoized, verbatim: one
+    hinge_subgrad per epoch, which gathers the violating rows every time."""
+    n, d = Z.shape
+    lam = 1.0 / (learn.SVM_C * n)
+    Z1 = np.hstack([Z, np.ones((n, 1))])
+    w = np.zeros(d + 1)
+    for t in range(1, learn.SVM_EPOCHS + 1):
+        w -= hinge_subgrad(w, Z1, y_signed, lam) / (lam * t)
+    return w[:-1], w[-1]
 
 
 def separable_blobs(n=100, margin=1.0, seed=0, d=2):
@@ -35,6 +70,19 @@ def test_single_class_rejected(kind):
     X = np.random.default_rng(0).normal(size=(10, 3))
     with pytest.raises(FitError):
         fit(kind, X, np.zeros(10, dtype=int), seed=1)
+
+
+@pytest.mark.parametrize("kind", learn.KINDS)
+def test_labels_other_than_0_or_1_rejected(kind):
+    X, y = separable_blobs(40, d=3)
+    for bad, shown in ((y + 1, "[1, 2]"), (2 * y - 1, "[-1, 1]"),
+                       (np.where(y == 1, 0.7, 0.0), "[0.0, 0.7]")):
+        message = re.escape(f"labels must be 0 or 1, got {shown}")
+        with pytest.raises(FitError, match=f"^{message}$"):
+            fit(kind, X, bad, seed=1)
+    want = fit(kind, X, y, seed=1).to_json()
+    assert fit(kind, X, y.astype(bool), seed=1).to_json() == want
+    assert fit(kind, X, y.astype(float), seed=1).to_json() == want
 
 
 def test_non_finite_rejected():
@@ -296,3 +344,72 @@ def test_forced_negative_decision_rule():
         impl=(np.array([0.0, 0.0]), -1.0),
     )
     assert np.all(zeroed.predict(X) == 0)
+
+
+@st.composite
+def _svm_problem(draw):
+    """(X, y): 2-60 rows, 1-31 columns of tied small integers or free
+    floats, and labels with both classes."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 31))
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_subnormal=False))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[0], y[-1] = 0, 1
+    return X, y
+
+
+def _opposite_duplicates():
+    """Every row twice, once per label: each epoch has violators."""
+    rows = np.random.default_rng(30).normal(size=(10, 4))
+    return np.repeat(rows, 2, axis=0), np.tile([0, 1], 10)
+
+
+def _constant_column():
+    """Column 1 standardizes to all zeros."""
+    X, y = separable_blobs(30, seed=31, d=3)
+    X[:, 1] = 2.5
+    return X, y
+
+
+def _transfer_linear_shape():
+    """20 x 30, the shape of the transfer_linear workload's source matrix."""
+    X = np.random.default_rng(32).normal(size=(20, 30))
+    return X, np.repeat([0, 1], 10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_svm_problem())
+@example((np.array([[0.0], [1.0]]), np.array([0, 1])))
+@example(_opposite_duplicates())
+@example(separable_blobs(40, margin=3.0, seed=33))  # 12 distinct masks, most pulls reused
+@example(_constant_column())
+@example(_transfer_linear_shape())
+def test_svm_fit_matches_per_epoch_subgradient(problem):
+    X, y = problem
+    Z = standardize(X).transform(X)
+    y_signed = 2.0 * y - 1.0
+    w_ref, b_ref = _reference_fit_svm(Z, y_signed)
+    w, b = learn._fit_svm(Z, y_signed)
+    assert w.tobytes() == w_ref.tobytes()
+    assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+
+
+# sha256 of Model.to_json() for learn.fit("svm", *_svm_digest_matrix(), seed=7),
+# taken with the per-epoch subgradient loop; the memoized pull must not move it
+_SVM_DIGEST = "de70937c0e978762eafa323effeea4c913d64e01e79357e5dc8e10635c229ee6"
+
+
+def _svm_digest_matrix():
+    """40 x 6, rounded to one decimal, noisy labels, last column constant."""
+    rng = np.random.default_rng(21)
+    X = np.round(rng.normal(size=(40, 6)), 1)
+    X[:, 5] = 1.0
+    y = (X[:, 0] + 0.5 * rng.normal(size=40) > 0).astype(int)
+    return X, y
+
+
+def test_seeded_svm_model_byte_identical_to_per_epoch_loop():
+    text = fit("svm", *_svm_digest_matrix(), seed=7).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest() == _SVM_DIGEST

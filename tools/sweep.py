@@ -12,14 +12,17 @@ different directories compare equal when the program behaves the same.
 The cases cover every subcommand, all four classifiers with RFE on and
 off, settings that must end in `error: ...`, unreadable inputs and
 unwritable outputs, and `Model.to_json` round trips with each model's
-scores on rows it never saw, on three corpora:
+scores on rows it never saw, on four corpora:
   - synth: `chatterkit synth --n 30 --seed 0` (10 kHz; itself a case);
   - ingest: perfbench/corpus.py's `ingest_160k` at seed 0 (160 kHz, so
     every matrix command decimates);
   - trees: perfbench/corpus.py's `rfe_trees` at seed 0 (overlapping
     classes, so rf and gb under RFE grow deep trees), with the peak
     settings of the rfe_trees workload;
-the last two written by this checkout's copy of that module, so both
+  - linear: perfbench/corpus.py's `transfer_linear` at seed 0 (two
+    separable configs), with svm under RFE and the peak settings of the
+    transfer_linear workload;
+the last three written by this checkout's copy of that module, so both
 sides of a comparison read the same bytes.
 
 To show that a change alters no output, sweep the parent and the change
@@ -136,6 +139,15 @@ def all_cases(work):
             (f"trees/cv/{kind}/rfe-on",
              ["cv", *trees, "--classifier", kind, "--folds", "2", "--out", "{out}/r.json"]),
         ]
+    linear = ["--manifest", f"{work}/linear/manifest.json", "--classifier", "svm",
+              "--rfe", "on", "--n-peaks", "5"]
+    cases += [
+        ("linear/transfer/svm/rfe-on",
+         ["transfer", *linear, "--source-config", "A", "--target-config", "B",
+          "--out", "{out}/r.json"]),
+        ("linear/eval/svm/rfe-on",
+         ["eval", *linear, "--config-id", "A", "--reps", "3", "--out", "{out}/r.json"]),
+    ]
     for kind in KINDS:
         cases.append((f"to-json/{kind}", ["-c", TO_JSON, synth, kind]))
 
@@ -233,12 +245,14 @@ BAD_ENTRIES = {
 
 
 def write_fixtures(work, synth):
-    """The ingest_160k and rfe_trees corpora and the unreadable or malformed inputs."""
+    """The ingest_160k, rfe_trees and transfer_linear corpora and the
+    unreadable or malformed inputs."""
     sys.path.insert(0, str(HERE / "perfbench"))
     import corpus
 
     corpus.write(corpus.INGEST_160K, 0, Path(work) / "ingest")
     corpus.write(corpus.RFE_TREES, 0, Path(work) / "trees")
+    corpus.write(corpus.TRANSFER_LINEAR, 0, Path(work) / "linear")
     bad = Path(work) / "bad"
     bad.mkdir()
     (bad / "not_utf8.json").write_bytes(b"[\xff]")
