@@ -1,7 +1,8 @@
 """Experiment protocols: repeated splits, k-fold CV, transfer learning.
 
 `repeated_split_eval` and `kfold_cv` only draw (train, test) index
-pairs; one loop, `_resample`, fits and scores them, with or without RFE.
+pairs; one loop, `_resample`, fits and scores them. Under RFE every
+protocol picks its columns with `rfe.best_subset_for_split`.
 
 All splits are stratified by the binary label and every random draw is
 derived from an explicit seed, so a whole experiment is reproducible
@@ -116,22 +117,24 @@ def stratified_folds(y, k, rng):
 
 
 def _resample(fm, pairs, kind, use_rfe, seed, protocol, config_id):
-    """Fit and score each (train_idx, test_idx) pair of the lazy `pairs`."""
+    """Fit and score each (train_idx, test_idx) pair of the lazy `pairs`.
+
+    With RFE the pair's test rows pick its columns, so its test accuracy is optimistic.
+    """
     if len(np.unique(fm.y)) < 2:
         raise EvaluationError("need both classes present")
     per_rep, subsets = [], []
     for train_idx, test_idx in pairs:
-        Xtr, ytr = fm.X[train_idx], fm.y[train_idx]
-        Xte, yte = fm.X[test_idx], fm.y[test_idx]
+        cols = slice(None)
         if use_rfe:
-            subset, train_acc, test_acc = rfe.best_subset_for_split(
-                Xtr, ytr, Xte, yte, kind, seed=seed
-            )
+            subset = rfe.best_subset_for_split(fm.X, fm.y, kind, train_idx,
+                                               [(train_idx, test_idx)], seed=seed)
             subsets.append(subset)
-        else:
-            model = learn.fit(kind, Xtr, ytr, seed=seed, feature_names=fm.feature_names)
-            train_acc, test_acc = model.accuracy(Xtr, ytr), model.accuracy(Xte, yte)
-        per_rep.append((train_acc, test_acc))
+            cols = list(subset)
+        Xtr, ytr = fm.X[train_idx][:, cols], fm.y[train_idx]
+        model = learn.fit(kind, Xtr, ytr, seed=seed)
+        per_rep.append((model.accuracy(Xtr, ytr),
+                        model.accuracy(fm.X[test_idx][:, cols], fm.y[test_idx])))
     return EvalResult(per_rep=tuple(per_rep), protocol=protocol, classifier=kind,
                       seed=int(seed), use_rfe=use_rfe, selected_subsets=tuple(subsets),
                       config_id=config_id)
@@ -177,19 +180,10 @@ def transfer_eval(source, target, kind, use_rfe=False, seed=0):
     cols = slice(None)
     subset = ()
     if use_rfe:
-        ranking = rfe.rank_features(source.X, source.y, kind, seed=seed)
         inner = [stratified_split(source.y, 0.33, rng_for(seed, "transfer", r))
                  for r in range(N_INTERNAL_SPLITS)]
-
-        def inner_accuracy(sub):
-            X, y = source.X[:, sub], source.y
-            return float(np.mean([
-                learn.fit(kind, X[tr], y[tr], seed=seed).accuracy(X[te], y[te])
-                for tr, te in inner
-            ]))
-
-        best_k, _ = rfe.select_best_k(ranking, inner_accuracy)
-        subset = ranking.order[:best_k]
+        subset = rfe.best_subset_for_split(source.X, source.y, kind,
+                                           np.arange(source.n_rows), inner, seed=seed)
         cols = list(subset)
     Xtr, Xte = source.X[:, cols], target.X[:, cols]
     model = learn.fit(kind, Xtr, source.y, seed=seed)

@@ -90,7 +90,6 @@ class FeatureMatrix:
     y: np.ndarray  # binary labels, 0 or 1
     feature_names: tuple
     config_ids: tuple = ()
-    record_ids: tuple = ()
     excluded: tuple = ()  # (record_id, reason) pairs dropped during assembly
 
     def __post_init__(self):
@@ -147,7 +146,7 @@ def build_matrix(ds, cfg=PipelineConfig()):
     learnable = ds.learnable
     if not learnable:
         raise EvaluationError("no learnable records")
-    rows, labels, config_ids, record_ids, excluded = [], [], [], [], []
+    rows, labels, config_ids, excluded = [], [], [], []
     for rec in learnable:
         try:
             rows.append(extract_features(cfg.to_working_rate(rec), cfg))
@@ -156,7 +155,6 @@ def build_matrix(ds, cfg=PipelineConfig()):
             continue
         labels.append(to_binary(rec.label))
         config_ids.append(rec.config.config_id)
-        record_ids.append(rec.record_id)
     if not rows:
         raise EvaluationError("no usable rows after exclusions")
     return FeatureMatrix(
@@ -164,7 +162,6 @@ def build_matrix(ds, cfg=PipelineConfig()):
         y=np.array(labels),
         feature_names=tuple(feature_names(cfg.n_peaks)),
         config_ids=tuple(config_ids),
-        record_ids=tuple(record_ids),
         excluded=tuple(excluded),
     )
 
@@ -176,9 +173,6 @@ class Scaler:
 
     def transform(self, X):
         return (np.asarray(X, dtype=float) - self.mean) / self.std
-
-    def inverse(self, Z):
-        return np.asarray(Z, dtype=float) * self.std + self.mean
 
     def to_dict(self):
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

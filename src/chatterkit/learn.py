@@ -169,35 +169,40 @@ class Model:
 
     @classmethod
     def from_json(cls, text):
-        doc = json.loads(text)
-        if doc.get("format_version") != MODEL_FORMAT_VERSION:
-            raise FitError(f"unsupported model format: {doc.get('format_version')}")
-        kind = doc["kind"]
-        scaler = Scaler.from_dict(doc["scaler"]) if doc["scaler"] else None
-        if kind == "svm":
-            packed = np.array(doc["weights"])
-            impl = (packed[:-1], packed[-1])
-        elif kind == "lr":
-            impl = (np.array(doc["weights"]), float(doc["bias"]))
-        elif kind == "rf":
-            impl = RandomForest(seed=doc["seed"])
-            impl.n_features = doc["n_features"]
-            impl.trees = [_tree_from_entry(td, gini=True) for td in doc["trees"]]
-        elif kind == "gb":
-            impl = GradientBoosting()
-            impl.base_score = doc["base_score"]
-            impl.stages = [
-                (_tree_from_entry(sd, gini=False), sd["scale"]) for sd in doc["stages"]
-            ]
-        else:
-            raise FitError(f"unknown classifier kind {kind!r}")
-        return cls(
-            kind=kind,
-            feature_names=tuple(doc["feature_names"]),
-            seed=doc["seed"],
-            scaler=scaler,
-            impl=impl,
-        )
+        try:
+            doc = json.loads(text)
+            if doc.get("format_version") != MODEL_FORMAT_VERSION:
+                raise FitError(f"unsupported model format: {doc.get('format_version')}")
+            kind = doc["kind"]
+            scaler = Scaler.from_dict(doc["scaler"]) if doc["scaler"] else None
+            if kind == "svm":
+                packed = np.array(doc["weights"])
+                impl = (packed[:-1], packed[-1])
+            elif kind == "lr":
+                impl = (np.array(doc["weights"]), float(doc["bias"]))
+            elif kind == "rf":
+                impl = RandomForest(seed=doc["seed"])
+                impl.n_features = doc["n_features"]
+                impl.trees = [_tree_from_entry(td, gini=True) for td in doc["trees"]]
+            elif kind == "gb":
+                impl = GradientBoosting()
+                impl.base_score = doc["base_score"]
+                impl.stages = [
+                    (_tree_from_entry(sd, gini=False), sd["scale"]) for sd in doc["stages"]
+                ]
+            else:
+                raise FitError(f"unknown classifier kind {kind!r}")
+            return cls(
+                kind=kind,
+                feature_names=tuple(doc["feature_names"]),
+                seed=doc["seed"],
+                scaler=scaler,
+                impl=impl,
+            )
+        except json.JSONDecodeError as exc:
+            raise FitError(f"model text is not JSON: {exc}") from None
+        except KeyError as exc:
+            raise FitError(f"model text has no {exc.args[0]!r} key") from None
 
 
 def fit(kind, X, y, seed=0, feature_names=None):
@@ -211,6 +216,8 @@ def fit(kind, X, y, seed=0, feature_names=None):
     y = labels.astype(int)
     if X.ndim != 2 or X.shape[0] < 2:
         raise FitError("need at least 2 rows")
+    if y.shape != (X.shape[0],):
+        raise FitError(f"need one label per row: {X.shape[0]} rows, labels of shape {y.shape}")
     if not np.all(np.isfinite(X)):
         raise FitError("non-finite feature values")
     if len(np.unique(y)) < 2:

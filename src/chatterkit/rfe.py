@@ -5,9 +5,8 @@ one with the smallest importance (ties drop the highest original index),
 and repeat until one survives. The elimination order reversed is the
 ranking, best first.
 
-`select_best_k` is the one loop over the nested subsets of a ranking;
-each caller passes the score to pick by, and so decides which rows the
-choice may see.
+`best_subset_for_split` is the one selector every protocol calls; the
+row splits it is given decide which rows the choice may see.
 """
 
 from dataclasses import dataclass
@@ -61,21 +60,23 @@ def select_best_k(ranking, score):
     return best_k, best
 
 
-def best_subset_for_split(X_train, y_train, X_test, y_test, kind, seed=0):
-    """Rank on the training rows, then pick the nested subset by test accuracy.
+def best_subset_for_split(X, y, kind, rank_rows, splits, seed=0):
+    """Columns of the nested subset with the best mean accuracy over `splits`.
 
-    Returns (subset, train_accuracy, test_accuracy) for the subset with
-    the highest test accuracy (ties to the smallest subset). Ranking
-    never sees the test rows but the choice does, so the test accuracy
-    is an optimistic upper bound. One fit per subset.
+    Ranks on X[rank_rows], then fits each subset on the fit rows of every
+    (fit_rows, score_rows) pair and scores it on the score rows. Ties go
+    to the smallest subset.
     """
-    ranking = rank_features(X_train, y_train, kind, seed=seed)
-    train_acc = {}
+    ranking = rank_features(X[rank_rows], y[rank_rows], kind, seed=seed)
 
-    def test_accuracy(cols):
-        model = learn.fit(kind, X_train[:, cols], y_train, seed=seed)
-        train_acc[len(cols)] = model.accuracy(X_train[:, cols], y_train)
-        return model.accuracy(X_test[:, cols], y_test)
+    def mean_accuracy(cols):
+        # rows, then columns, as the protocols gather their own fits: the
+        # column gather's memory order sets the last bits of a linear fit
+        return float(np.mean([
+            learn.fit(kind, X[fit][:, cols], y[fit], seed=seed)
+            .accuracy(X[score][:, cols], y[score])
+            for fit, score in splits
+        ]))
 
-    k, test_acc = select_best_k(ranking, test_accuracy)
-    return ranking.order[:k], train_acc[k], test_acc
+    k, _ = select_best_k(ranking, mean_accuracy)
+    return ranking.order[:k]

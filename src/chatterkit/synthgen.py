@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CuttingConfig, LabeledDataset, RawLabel, TimeSeries
 from .errors import SynthSpecError
-from .seeds import derive
+from .seeds import rng_for
 
 AMP_JITTER = 0.1
 HARMONIC_RATIO = 0.3
@@ -69,9 +69,7 @@ class SynthSpec:
 
 def make_signal(cls, spec, index):
     """One record, deterministic per (spec.seed, cls, index)."""
-    rng = np.random.Generator(
-        np.random.PCG64(derive(spec.seed, "synth", cls, index))
-    )
+    rng = rng_for(spec.seed, "synth", cls, index)
     n = int(round(spec.sample_rate_hz * spec.duration_s))
     t = np.arange(n) / spec.sample_rate_hz
     if cls == 1:

@@ -175,6 +175,20 @@ def test_malformed_manifest(tmp_path):
         load_manifest(path)
 
 
+def test_entry_with_missing_keys_named(tmp_path):
+    e = entry("a.csv", "stable")
+    del e["rpm"], e["label"]
+    manifest = write_corpus(tmp_path, [e])
+    with pytest.raises(ManifestError, match=r"entry 0: missing keys \['label', 'rpm'\]$"):
+        load_manifest(manifest)
+
+
+def test_unknown_label_value_rejected(tmp_path):
+    manifest = write_corpus(tmp_path, [entry("a.csv", "stable"), entry("b.csv", "wobbly")])
+    with pytest.raises(ManifestError, match="entry 1: unknown label 'wobbly'$"):
+        load_manifest(manifest)
+
+
 def test_non_finite_sample_rejected(tmp_path):
     (tmp_path / "a.csv").write_text("0.1\nnan\n0.3\n")
     manifest = tmp_path / "manifest.json"

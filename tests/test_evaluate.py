@@ -9,6 +9,7 @@ from chatterkit import learn
 from chatterkit.errors import EvaluationError
 from chatterkit.evaluate import (
     EvalResult,
+    check_report,
     emit_report,
     kfold_cv,
     ranking_frequency,
@@ -245,6 +246,16 @@ class TestEmitReport:
         row = doc["results"][0]
         assert row["classifier"] == "lr"
         assert row["mean_test"] == pytest.approx(0.875)
+
+    def test_check_names_what_is_missing(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        row = self.result().as_row()
+        del row["classifier"]
+        for doc, named in (({"results": []}, "'results' is []"), ({}, "'results' is None"),
+                           ({"results": [row]}, "results[0] has no 'classifier'")):
+            path.write_text(json.dumps(doc))
+            assert check_report(str(path)) == 2
+            assert named in capsys.readouterr().err
 
 
 def test_no_leakage_canary():

@@ -203,8 +203,9 @@ class TestStandardize:
         expected = (test - train.mean(axis=0)) / train.std(axis=0)
         assert np.allclose(Z, expected)
 
-    def test_round_trip(self):
-        rng = np.random.default_rng(22)
-        X = rng.normal(size=(20, 5))
-        scaler = standardize(X)
-        assert np.max(np.abs(scaler.inverse(scaler.transform(X)) - X)) < 1e-12
+
+def test_feature_matrix_checks_its_shape():
+    with pytest.raises(EvaluationError, match="^X/y shape mismatch$"):
+        FeatureMatrix(X=np.zeros((3, 2)), y=[0, 1], feature_names=("a", "b"))
+    with pytest.raises(EvaluationError, match="^feature_names length != column count$"):
+        FeatureMatrix(X=np.zeros((2, 2)), y=[0, 1], feature_names=("a",))

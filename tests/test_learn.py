@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -85,6 +86,23 @@ def test_labels_other_than_0_or_1_rejected(kind):
     assert fit(kind, X, y.astype(float), seed=1).to_json() == want
 
 
+@pytest.mark.parametrize("kind", learn.KINDS)
+def test_one_label_per_row_required(kind):
+    X, y = separable_blobs(10, d=3)
+    for bad, shape in ((y[:8], "(8,)"), (y[:, None], "(10, 1)")):
+        message = re.escape(f"need one label per row: 10 rows, labels of shape {shape}")
+        with pytest.raises(FitError, match=f"^{message}$"):
+            fit(kind, X, bad, seed=1)
+
+
+def test_unknown_kind_and_single_row_rejected():
+    X, y = separable_blobs(10)
+    with pytest.raises(FitError, match="unknown classifier kind 'knn'"):
+        fit("knn", X, y)
+    with pytest.raises(FitError, match="need at least 2 rows"):
+        fit("lr", X[:1], y[:1])
+
+
 def test_non_finite_rejected():
     X, y = separable_blobs(20)
     X[3, 1] = np.nan
@@ -111,6 +129,21 @@ def test_serialization_round_trip(kind):
     assert np.array_equal(model.predict(probe), restored.predict(probe))
     assert np.allclose(model.decision_scores(probe), restored.decision_scores(probe))
     assert np.allclose(model.importance(), restored.importance())
+
+
+def test_malformed_model_text_rejected():
+    text = fit("svm", *separable_blobs(20), seed=1).to_json()
+    doc = json.loads(text)
+    with pytest.raises(FitError, match="^model text is not JSON: "):
+        Model.from_json(text[:-1])
+    for key in ("kind", "scaler", "weights", "feature_names"):
+        partial = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(FitError, match=f"^model text has no '{key}' key$"):
+            Model.from_json(json.dumps(partial))
+    with pytest.raises(FitError, match="^unsupported model format: 2$"):
+        Model.from_json(json.dumps({**doc, "format_version": 2}))
+    with pytest.raises(FitError, match="^unknown classifier kind 'knn'$"):
+        Model.from_json(json.dumps({**doc, "kind": "knn"}))
 
 
 def test_predict_empty_rows():

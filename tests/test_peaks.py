@@ -211,3 +211,13 @@ def test_count_monotone_in_alpha_and_mpd():
             for m in (0, 5, 15, 40)
         ]
         assert all(a >= b for a, b in zip(counts_mpd, counts_mpd[1:]))
+
+
+@pytest.mark.parametrize("alpha, mpd, n_peaks, message", [
+    (1.5, 0, 1, r"^alpha must be in \[0, 1\], got 1.5$"),
+    (0.1, -1, 1, "^mpd must be non-negative, got -1$"),
+    (0.1, 0, 0, "^n_peaks must be >= 1, got 0$"),
+])
+def test_peak_constraints_ranges(alpha, mpd, n_peaks, message):
+    with pytest.raises(ValueError, match=message):
+        PeakConstraints(alpha=alpha, mpd=mpd, n_peaks=n_peaks)

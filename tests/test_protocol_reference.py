@@ -1,10 +1,10 @@
 """The shared resampling loop and the one nested-subset selection
 against the protocol code they replaced.
 
-`repeated_split_eval`, `kfold_cv`, `transfer_eval` and
-`rfe.best_subset_for_split` must return what the old per-protocol loops
-returned (equal `repr`), or raise the same exception with the same
-message. The old code is kept here, unchanged, as the reference; the
+`repeated_split_eval`, `kfold_cv` and `transfer_eval` must return what
+the old per-protocol loops returned (equal `repr`), or raise the same
+exception with the same message; `rfe.best_subset_for_split` must pick
+the old subset. The old code is kept here, unchanged, as the reference; the
 `rfe` namespace below stands in for the module it called into.
 """
 
@@ -280,8 +280,11 @@ def test_protocols_match_reference(kind, use_rfe):
 def test_best_subset_for_split_matches_reference(kind):
     source, target = CASES["overlap"]
     args = (source.X[:16], source.y[:16], target.X[16:], target.y[16:], kind)
-    assert repr(rfe_module.best_subset_for_split(*args, seed=2)) == repr(
-        best_subset_for_split(*args, seed=2))
+    subset, _, _ = best_subset_for_split(*args, seed=2)
+    X, y = np.vstack([args[0], args[2]]), np.concatenate([args[1], args[3]])
+    tr, te = np.arange(16), np.arange(16, 24)
+    assert repr(rfe_module.best_subset_for_split(X, y, kind, tr, [(tr, te)], seed=2)) == repr(
+        subset)
 
 
 def test_single_class_checked_before_fold_count():

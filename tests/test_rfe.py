@@ -128,12 +128,19 @@ class TestSelectBestK:
         assert best_k == 1
 
 
+def _split_accuracies(X, y, kind, subset, tr, te, seed):
+    """Train and test accuracy of one fit of the chosen columns."""
+    cols = list(subset)
+    model = learn.fit(kind, X[tr][:, cols], y[tr], seed=seed)
+    return model.accuracy(X[tr][:, cols], y[tr]), model.accuracy(X[te][:, cols], y[te])
+
+
 class TestBestSubsetForSplit:
     def test_planted_feature_in_best_subset(self):
         X, y = planted(11, n=90, d=10, informative=4, strength=3.0)
-        subset, train_acc, test_acc = best_subset_for_split(
-            X[:60], y[:60], X[60:], y[60:], "lr", seed=1
-        )
+        tr, te = np.arange(60), np.arange(60, 90)
+        subset = best_subset_for_split(X, y, "lr", tr, [(tr, te)], seed=1)
+        train_acc, test_acc = _split_accuracies(X, y, "lr", subset, tr, te, seed=1)
         assert 4 in subset
         assert test_acc >= 0.9
         assert 0.0 <= train_acc <= 1.0
@@ -142,16 +149,17 @@ class TestBestSubsetForSplit:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(40, 6))
         y = np.arange(40) % 2
-        subset, _, test_acc = best_subset_for_split(
-            X[:30], y[:30], X[30:], y[30:], "svm", seed=1
-        )
+        tr, te = np.arange(30), np.arange(30, 40)
+        subset = best_subset_for_split(X, y, "svm", tr, [(tr, te)], seed=1)
+        _, test_acc = _split_accuracies(X, y, "svm", subset, tr, te, seed=1)
         assert 1 <= len(subset) <= 6
         assert set(subset) <= set(range(6))
         assert 0.0 <= test_acc <= 1.0
 
     def test_deterministic(self):
         X, y = planted(13, n=60, d=8)
-        args = (X[:40], y[:40], X[40:], y[40:], "gb")
+        tr, te = np.arange(40), np.arange(40, 60)
+        args = (X, y, "gb", tr, [(tr, te)])
         assert best_subset_for_split(*args, seed=5) == best_subset_for_split(
             *args, seed=5
         )

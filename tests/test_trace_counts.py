@@ -2,13 +2,17 @@
 
 `perfbench/probe.py --mode trace` patches `learn.fit`, `learn.Model.predict`
 and the `rfe`/`evaluate` entry points by name from outside the package. If
-a refactor calls around one of those names, the counts below drop. At
-d = 12 features (two peaks per transform):
-- `eval --rfe on --reps 1`: (d - 1) ranking fits + d subset fits, and a
-  train and a test predict per subset;
-- `transfer --rfe on`: (d - 1) ranking fits, 5 inner splits per subset
-  size and the final fit; a predict per inner split, and a train and a
-  target predict for the final model.
+a refactor calls around one of those names, the counts below drop. Every
+protocol picks its RFE subset with `rfe.best_subset_for_split` (a span of
+its own, holding `rfe.select_best_k`'s), which ranks with (d - 1) fits and
+fits each of the d nested subsets once per scoring split, predicting that
+split's scored rows; the chosen columns are then fitted once more, with a
+train and a test predict. At d = 12 features (two peaks per transform):
+- `eval --rfe on --reps 1`: one split scored on its own test rows;
+- `cv --rfe on --folds 2`: the same, once per fold;
+- `rank-report --reps 1`: `eval`'s split plus a ranking of all rows;
+- `transfer --rfe on`: 5 inner splits of the source per subset size, and
+  the final model's train and target predicts.
 """
 
 import json
@@ -49,9 +53,28 @@ def _trace(tmp_path, *argv):
 def test_eval_rf_rfe_counts(manifest, tmp_path):
     calls = _trace(tmp_path, "eval", "--manifest", manifest, "--classifier", "rf",
                    "--rfe", "on", "--reps", "1")
-    assert calls["learn.fit.rf"] == (D - 1) + D == 23
-    assert calls["learn.predict"] == 2 * D == 24
+    assert calls["learn.fit.rf"] == (D - 1) + D + 1 == 24
+    assert calls["learn.predict"] == D + 2 == 14
     assert calls["rfe.rank"] == 1
+    assert calls["rfe"] == 2
+
+
+def test_cv_lr_rfe_counts(manifest, tmp_path):
+    calls = _trace(tmp_path, "cv", "--manifest", manifest, "--classifier", "lr",
+                   "--rfe", "on", "--folds", "2")
+    assert calls["learn.fit.lr"] == 2 * ((D - 1) + D + 1) == 48
+    assert calls["learn.predict"] == 2 * (D + 2) == 28
+    assert calls["rfe.rank"] == 2
+    assert calls["rfe"] == 4
+
+
+def test_rank_report_lr_counts(manifest, tmp_path):
+    calls = _trace(tmp_path, "rank-report", "--manifest", manifest, "--classifier", "lr",
+                   "--reps", "1")
+    assert calls["learn.fit.lr"] == (D - 1) + D + 1 + (D - 1) == 35
+    assert calls["learn.predict"] == D + 2 == 14
+    assert calls["rfe.rank"] == 2
+    assert calls["rfe"] == 2
 
 
 def test_transfer_lr_rfe_counts(manifest, tmp_path):
@@ -60,3 +83,4 @@ def test_transfer_lr_rfe_counts(manifest, tmp_path):
     assert calls["learn.fit.lr"] == (D - 1) + 5 * D + 1 == 72
     assert calls["learn.predict"] == 5 * D + 2 == 62
     assert calls["rfe.rank"] == 1
+    assert calls["rfe"] == 2

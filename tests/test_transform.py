@@ -237,3 +237,23 @@ def test_transforms_deterministic(make_ts):
         a, b = fn(ts), fn(ts)
         assert np.array_equal(a.ys, b.ys)
         assert np.array_equal(a.xs, b.xs)
+
+
+def test_indexed_sequence_invariants():
+    with pytest.raises(TransformError, match="^xs/ys must have equal length >= 2$"):
+        IndexedSequence([0.0, 1.0, 2.0], [1.0, 2.0], Kind.FFT)
+    with pytest.raises(TransformError, match="^xs must be strictly increasing$"):
+        IndexedSequence([0.0, 2.0, 1.0], [1.0, 2.0, 3.0], Kind.FFT)
+
+
+def test_spectral_energy_needs_an_fft_sequence():
+    with pytest.raises(TransformError, match="^spectral_energy expects an FFT sequence$"):
+        spectral_energy(IndexedSequence([0.0, 1.0], [1.0, 1.0], Kind.PSD))
+
+
+def test_acf_with_underflowing_lag0_rejected(make_ts):
+    # not constant, but every product underflows, so the lag-0 value is 0
+    x = np.tile([0.0, 1e-200], 50)
+    with pytest.raises(TransformError,
+                       match="^constant signal has no defined autocorrelation$"):
+        autocorrelation(make_ts(x))
