@@ -132,12 +132,12 @@ def cmd_transfer(args):
 
 def cmd_rank_report(args):
     fm = _features(args)
-    result = evaluate.repeated_split_eval(
-        fm, args.classifier, use_rfe=True, n_rep=args.reps, seed=args.seed,
-        config_id=args.config_id or "",
-    )
+    subsets = []
+    for train_idx, test_idx in evaluate.repeated_splits(fm.y, args.reps, seed=args.seed):
+        subsets.append(rfe.best_subset_for_split(fm.X, fm.y, args.classifier, train_idx,
+                                                 [(train_idx, test_idx)], seed=args.seed))
     ranking = rfe.rank_features(fm.X, fm.y, args.classifier, seed=args.seed)
-    counts = evaluate.ranking_frequency(result.selected_subsets, fm.n_features)
+    counts = evaluate.ranking_frequency(subsets, fm.n_features)
     rank_of = {idx: pos + 1 for pos, idx in enumerate(ranking.order)}
     _write_csv(args.out, ["feature_name", "rank", "selection_count"],
                ([name, rank_of[i], int(counts[i])]

@@ -1,7 +1,8 @@
 """Experiment protocols: repeated splits, k-fold CV, transfer learning.
 
 `repeated_split_eval` and `kfold_cv` only draw (train, test) index
-pairs; one loop, `_resample`, fits and scores them. Under RFE every
+pairs (the former through `repeated_splits`, which `rank-report` also
+uses); one loop, `_resample`, fits and scores them. Under RFE every
 protocol picks its columns with `rfe.best_subset_for_split`.
 
 All splits are stratified by the binary label and every random draw is
@@ -121,8 +122,6 @@ def _resample(fm, pairs, kind, use_rfe, seed, protocol, config_id):
 
     With RFE the pair's test rows pick its columns, so its test accuracy is optimistic.
     """
-    if len(np.unique(fm.y)) < 2:
-        raise EvaluationError("need both classes present")
     per_rep, subsets = [], []
     for train_idx, test_idx in pairs:
         cols = slice(None)
@@ -140,21 +139,35 @@ def _resample(fm, pairs, kind, use_rfe, seed, protocol, config_id):
                       config_id=config_id)
 
 
-def repeated_split_eval(fm, kind, use_rfe=False, n_rep=10, test_frac=0.33, seed=0,
-                        config_id=""):
-    """n_rep independent stratified 67/33 splits, aggregated mean +- std."""
+def _both_classes(y):
+    if len(np.unique(y)) < 2:
+        raise EvaluationError("need both classes present")
+
+
+def repeated_splits(y, n_rep=10, test_frac=0.33, seed=0):
+    """n_rep independent stratified (train_idx, test_idx) pairs, drawn lazily.
+
+    The arguments are checked at the call, before any pair is drawn.
+    """
     if n_rep < 1:
         raise EvaluationError(f"n_rep={n_rep}, need at least one split")
     if not 0.0 < test_frac < 1.0:
         raise EvaluationError(f"test_frac={test_frac} must lie in (0, 1)")
-    pairs = (stratified_split(fm.y, test_frac, rng_for(seed, "split", r))
-             for r in range(n_rep))
-    return _resample(fm, pairs, kind, use_rfe, seed,
+    _both_classes(y)
+    return (stratified_split(y, test_frac, rng_for(seed, "split", r)) for r in range(n_rep))
+
+
+def repeated_split_eval(fm, kind, use_rfe=False, n_rep=10, test_frac=0.33, seed=0,
+                        config_id=""):
+    """n_rep independent stratified 67/33 splits, aggregated mean +- std."""
+    return _resample(fm, repeated_splits(fm.y, n_rep, test_frac, seed), kind, use_rfe, seed,
                      f"repeated_split(n={n_rep},test_frac={test_frac})", config_id)
 
 
 def kfold_cv(fm, kind, use_rfe=False, k=10, seed=0, config_id=""):
     """Stratified k-fold cross-validation."""
+    _both_classes(fm.y)
+
     def pairs():
         all_idx = np.arange(fm.n_rows)
         for i, test_idx in enumerate(stratified_folds(fm.y, k, rng_for(seed, "fold"))):

@@ -126,8 +126,6 @@ class Model:
     def decision_scores(self, X):
         """Real-valued scores; score > 0 <=> predicted label 1."""
         X = self._check_width(X)
-        if X.shape[0] == 0:
-            return np.zeros(0)
         if self.kind in LINEAR_KINDS:
             w, b = self.impl
             return self.scaler.transform(X) @ w + b
@@ -203,6 +201,8 @@ class Model:
             raise FitError(f"model text is not JSON: {exc}") from None
         except KeyError as exc:
             raise FitError(f"model text has no {exc.args[0]!r} key") from None
+        except (AttributeError, IndexError, TypeError, ValueError) as exc:
+            raise FitError(f"model text is not a model: {exc}") from None
 
 
 def fit(kind, X, y, seed=0, feature_names=None):

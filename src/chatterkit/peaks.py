@@ -61,8 +61,6 @@ def find_peaks(seq, constraints):
     error. Ties in amplitude go to the lower index.
     """
     ys = seq.ys
-    if len(ys) < 3:
-        return []
     mph = min_peak_height(seq, constraints.alpha)
     idx = _local_maxima(ys)
     idx = idx[ys[idx] >= mph]

@@ -59,9 +59,7 @@ def amplitude_spectrum(ts):
     nfft = _next_pow2(x.size)
     ys = np.abs(np.fft.rfft(x, nfft))
     xs = np.fft.rfftfreq(nfft, d=1.0 / ts.sample_rate_hz)
-    return IndexedSequence(
-        xs, ys, Kind.FFT, meta={"nfft": nfft, "n_samples": int(x.size)}
-    )
+    return IndexedSequence(xs, ys, Kind.FFT, meta={"nfft": nfft})
 
 
 def spectral_energy(seq):
@@ -136,4 +134,4 @@ def autocorrelation(ts, max_lag=None):
         raise TransformError("constant signal has no defined autocorrelation")
     ys = r / r[0]
     xs = np.arange(max_lag + 1, dtype=float)
-    return IndexedSequence(xs, ys, Kind.ACF, meta={"n_samples": int(n)})
+    return IndexedSequence(xs, ys, Kind.ACF)

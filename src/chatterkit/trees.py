@@ -3,7 +3,8 @@
 `Tree` grows Gini trees on 0/1 labels (the forest) and squared-error
 trees on float targets (boosting) with one split search, `_best_split`,
 which scores every threshold of every candidate column of many nodes in
-a single vectorized pass (presorted split finding as in CART and SLIQ).
+a single vectorized pass over (node, column) blocks sorted once
+(presorted split finding as in CART and SLIQ).
 Split search is deterministic: ties resolve to the first minimum in
 feature-major order: lowest feature index, then lowest threshold.
 
@@ -58,9 +59,11 @@ def _best_split(X, t, rows, features, gini):
     target is 0: positions past a node's own rows read that row.
     Impurity is the size-weighted Gini of the two children when `gini` is
     true (t holds 0/1 labels), else their summed squared error about the
-    child means (t holds float targets). Positions between equal
-    neighbouring values cannot be split, nor can a position next to a
-    NaN: all are masked to inf.
+    child means (t holds float targets), a child's Gini by `_gini`. Each
+    (node, column) block is sorted once, by a stable argsort that orders
+    its values and targets alike. Positions between equal neighbouring
+    values cannot be split, nor can a position next to a NaN: all are
+    masked to inf.
     """
     sizes = [r.size for r in rows]
     features = np.sort(np.array(features, dtype=np.intp).reshape(len(rows), -1), axis=1)
@@ -75,9 +78,7 @@ def _best_split(X, t, rows, features, gini):
     at = at.reshape(len(rows), width)
     cols = X.take(at[:, None, :] * X.shape[1] + features[:, :, None])
     order = cols.argsort(axis=2, kind="stable")
-    # the values in that order, but for where -0.0 and 0.0 fall, which
-    # changes no comparison and no midpoint between two unequal values
-    xs = np.sort(cols, axis=2)
+    xs = np.take_along_axis(cols, order, axis=2)
     ts = t[at].ravel()[order + width * np.arange(len(rows))[:, None, None]]
     splittable = xs[:, :, 1:] > xs[:, :, :-1]
     n = np.array(sizes, dtype=float)[:, None, None]
@@ -88,12 +89,7 @@ def _best_split(X, t, rows, features, gini):
     cum = ts.cumsum(axis=2)  # 0/1 labels count exactly as floats
     sl, sr = cum[:, :, :-1], cum[:, :, -1:] - cum[:, :, :-1]
     if gini:
-        p1l = sl / n_left
-        p1r = sr / n_right
-        score = (
-            n_left * (1.0 - p1l**2 - (1.0 - p1l) ** 2)
-            + n_right * (1.0 - p1r**2 - (1.0 - p1r) ** 2)
-        ) / n
+        score = (n_left * _gini(sl, n_left) + n_right * _gini(sr, n_right)) / n
     else:
         cum2 = (ts * ts).cumsum(axis=2)
         sl2, sr2 = cum2[:, :, :-1], cum2[:, :, -1:] - cum2[:, :, :-1]

@@ -199,6 +199,25 @@ def test_non_finite_sample_rejected(tmp_path):
         load_manifest(manifest)
 
 
+@pytest.mark.parametrize("field", ("overhang_cm", "spindle_rpm", "depth_of_cut_cm"))
+@pytest.mark.parametrize("value", (0.0, -1.0))
+def test_cutting_config_needs_positive_parameters(field, value):
+    params = {"overhang_cm": 5.08, "spindle_rpm": 320.0, "depth_of_cut_cm": 0.0127,
+              field: value}
+    with pytest.raises(ManifestError,
+                       match=r"^config 'c': overhang/rpm/depth must be positive$"):
+        CuttingConfig(**params, config_id="c")
+
+
+def test_time_series_needs_samples_and_a_positive_rate(config):
+    with pytest.raises(SignalLoadError, match=r"^record 'r': empty signal$"):
+        TimeSeries([], 10000.0, config, RawLabel.STABLE, "r")
+    for rate in (0.0, -10000.0):
+        with pytest.raises(SignalLoadError,
+                           match=r"^record 'r': sample rate must be positive$"):
+            TimeSeries([0.1, 0.2], rate, config, RawLabel.STABLE, "r")
+
+
 def test_header_line_tolerated(tmp_path):
     (tmp_path / "a.csv").write_text("acceleration\n0.1\n0.2\n")
     manifest = tmp_path / "manifest.json"

@@ -11,7 +11,7 @@ from chatterkit.featurize import (
     feature_names,
     standardize,
 )
-from chatterkit import synthgen
+from chatterkit import preprocess, synthgen
 from chatterkit.transform import IndexedSequence, Kind
 
 
@@ -129,6 +129,18 @@ def test_record_below_the_working_rate_is_an_error(make_ts):
     assert cfg.to_working_rate(at_rate) is at_rate
     with pytest.raises(FilterDesignError, match=r"'slow'.*5000.0 Hz -> 10000.0 Hz"):
         cfg.to_working_rate(make_ts(np.ones(8), rate=5000.0, record_id="slow"))
+
+
+def test_check_rate_raises_what_to_working_rate_would(monkeypatch):
+    cfg = PipelineConfig()
+    cfg.check_rate("r", 160000.0)
+    # a record at the working rate needs no filter, so none is designed
+    monkeypatch.setattr(preprocess, "design_butterworth_lowpass", None)
+    cfg.check_rate("r", 10000.0)
+    for rate in (15000.0, 5000.0):
+        with pytest.raises(FilterDesignError,
+                           match=rf"^record 'r': .* \({rate} Hz -> 10000.0 Hz\)$"):
+            cfg.check_rate("r", rate)
 
 
 class TestBuildMatrix:

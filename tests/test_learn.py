@@ -146,6 +146,30 @@ def test_malformed_model_text_rejected():
         Model.from_json(json.dumps({**doc, "kind": "knn"}))
 
 
+@pytest.mark.parametrize("field, value", [
+    (None, []), (None, "x"), ("weights", 5), ("weights", []), ("scaler", 5),
+    ("trees", 5), ("feature_names", 5),
+], ids=["list", "string", "weights-int", "weights-empty", "scaler-int", "trees-int",
+        "feature_names-int"])
+def test_wrong_shape_model_text_rejected(field, value):
+    kind = "rf" if field == "trees" else "svm"
+    X, y = separable_blobs(20)
+    doc = json.loads(fit(kind, X, y, seed=1).to_json())
+    text = json.dumps(value if field is None else {**doc, field: value})
+    with pytest.raises(FitError, match="^model text is not a model: "):
+        Model.from_json(text)
+
+
+@pytest.mark.parametrize("kind", learn.KINDS)
+@pytest.mark.parametrize("d", (0, 1, 5))
+def test_zero_rows_score_empty(kind, d):
+    X, y = separable_blobs(20, d=max(d, 1))
+    model = fit(kind, X[:, :d], y, seed=1)
+    scores = model.decision_scores(np.zeros((0, d)))
+    assert scores.dtype == np.float64 and scores.shape == (0,)
+    assert model.predict(np.zeros((0, d))).shape == (0,)
+
+
 def test_predict_empty_rows():
     X, y = separable_blobs(20)
     model = fit("lr", X, y)
@@ -335,6 +359,18 @@ def test_gb_training_loss_non_increasing():
         gb = GradientBoosting().fit(X, y)
         hist = np.array(gb.loss_history_)
         assert np.all(np.diff(hist) <= 1e-12)
+
+
+def test_gb_line_search_giving_up_keeps_the_base_score(monkeypatch):
+    losses = iter(range(10**6))  # every loss is larger than the one before
+    monkeypatch.setattr(GradientBoosting, "_logloss",
+                        staticmethod(lambda F, y_signed: float(next(losses))))
+    X, y = separable_blobs(20, d=3)
+    gb = GradientBoosting().fit(X, y)
+    assert [scale for _, scale in gb.stages] == [0.0] * len(gb.stages)
+    assert gb.loss_history_ == [0.0] * (len(gb.stages) + 1)
+    assert np.array_equal(gb.importance(), np.zeros(3))
+    assert np.array_equal(gb.decision_function(X), np.full(20, gb.base_score))
 
 
 @pytest.mark.parametrize("kind", ("rf", "gb"))

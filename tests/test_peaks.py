@@ -103,6 +103,10 @@ class TestFindPeaks:
         assert [p.index for p in peaks] == [9]
         assert peaks[0].y == 9.0
 
+    def test_two_points_have_no_peak(self):
+        for ys in ([0.0, 1.0], [1.0, 0.0], [2.0, 2.0]):
+            assert find_peaks(seq_of(ys), PeakConstraints(alpha=0.0, mpd=0, n_peaks=5)) == []
+
     def test_three_tones_mpd(self):
         ys = np.zeros(3000)
         for i, h in ((100, 5.0), (400, 8.0), (2000, 3.0)):

@@ -10,7 +10,9 @@ split's scored rows; the chosen columns are then fitted once more, with a
 train and a test predict. At d = 12 features (two peaks per transform):
 - `eval --rfe on --reps 1`: one split scored on its own test rows;
 - `cv --rfe on --folds 2`: the same, once per fold;
-- `rank-report --reps 1`: `eval`'s split plus a ranking of all rows;
+- `rank-report --reps 1`: `eval`'s selection on its split, but no final
+  fit or predict (only the chosen columns are counted), plus a ranking
+  of all rows;
 - `transfer --rfe on`: 5 inner splits of the source per subset size, and
   the final model's train and target predicts.
 """
@@ -71,8 +73,8 @@ def test_cv_lr_rfe_counts(manifest, tmp_path):
 def test_rank_report_lr_counts(manifest, tmp_path):
     calls = _trace(tmp_path, "rank-report", "--manifest", manifest, "--classifier", "lr",
                    "--reps", "1")
-    assert calls["learn.fit.lr"] == (D - 1) + D + 1 + (D - 1) == 35
-    assert calls["learn.predict"] == D + 2 == 14
+    assert calls["learn.fit.lr"] == (D - 1) + D + (D - 1) == 34
+    assert calls["learn.predict"] == D == 12
     assert calls["rfe.rank"] == 2
     assert calls["rfe"] == 2
 

@@ -423,13 +423,33 @@ def _assert_same_tree(old, new, X, gini):
             assert got.tobytes() == expected.tobytes()
 
 
+def _signed_zero_column():
+    """Column 0 holds -0.0 and 0.0 in one tied block, between -1.0 and 1.0
+    rows of the other class: the best splits lie on both sides of it."""
+    X = np.zeros((10, 2))
+    X[:, 0] = [-0.0, 0.0, 1.0, -0.0, -1.0, 0.0, 1.0, -0.0, -1.0, 0.0]
+    X[:, 1] = [0.0, -0.0, 2.0, 3.0, 0.0, -0.0, 1.0, 0.0, 2.0, -0.0]
+    y = np.array([1, 1, 0, 1, 0, 1, 0, 1, 0, 1])
+    return X, y
+
+
+@st.composite
+def _gini_problem(draw):
+    """(X, y, max_features, seed): a _tree_problem with 0/1 labels, a
+    candidate count and the seed of the candidate draws."""
+    X, y = draw(_tree_problem(st.integers(0, 1)))
+    max_features = draw(st.one_of(st.none(), st.integers(1, X.shape[1] + 1)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return X, y, max_features, seed
+
+
 @settings(max_examples=300, deadline=None)
-@given(_tree_problem(st.integers(0, 1)), st.data())
-def test_gini_tree_matches_reference(problem, data):
-    X, y = problem
+@given(_gini_problem())
+@example((*_signed_zero_column(), None, 0))
+@example((*_signed_zero_column(), 1, 3))
+def test_gini_tree_matches_reference(problem):
+    X, y, max_features, seed = problem
     y = y.astype(int)
-    max_features = data.draw(st.one_of(st.none(), st.integers(1, X.shape[1] + 1)))
-    seed = data.draw(st.integers(0, 2**32 - 1))
     old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     old, new = _fit_both(
         lambda: ClassificationTree(max_features=max_features, rng=old_rng).fit(X, y),
@@ -466,6 +486,8 @@ def _signed_zero_leaf():
 @settings(max_examples=300, deadline=None)
 @given(_regression_problem())
 @example(_signed_zero_leaf())
+@example((_signed_zero_column()[0],
+          np.array([2.0, 2.0, -1.0, 2.5, 0.0, 2.0, -1.0, 2.0, 0.0, 1.5]), None, None))
 def test_regression_tree_matches_reference(problem):
     X, t, max_depth, hessians = problem
     old, new = _fit_both(
