@@ -3,6 +3,8 @@
 Linear models (SVM, logistic regression) train on standardized features
 with the scaler fitted on the training rows only; tree ensembles consume
 raw features. All training is deterministic given (kind, data, seed).
+`fit` trains one model; `fit_many` trains one per (rows, columns) job
+with the same result, the svm jobs of each shape in lockstep.
 """
 
 import json
@@ -43,32 +45,54 @@ def logistic_loss_grad(w, b, Z, y_signed, lam):
 def _fit_svm(Z, y_signed):
     """Full-batch subgradient descent on the hinge objective (1/(lam*t) steps).
 
-    Trains the weights and bias as one packed vector; returns (w, b).
+    Z is one standardized (n, d) matrix, or a stack (..., n, d) of them,
+    and y_signed their +-1 labels (..., n); returns (w, b) shaped (..., d)
+    and (...). Each fit trains its weights and bias as one packed vector.
+    A stack's fits step in lockstep, and each keeps the bits of its lone
+    fit: its margins are its own matrix-vector product within one stacked
+    matmul, its pulls are its own, and the step is elementwise.
 
-    Each epoch steps by the subgradient lam*w - pull, where the pull
-    (Z1[viol].T @ y_signed[viol]) / n depends only on the set of rows
+    Each epoch steps by the subgradient lam*w - pull, where a fit's pull
+    (Z1[viol].T @ y_signed[viol]) / n depends only on the set of its rows
     whose margin is below 1. That set takes few distinct values over the
-    epochs, so each distinct set's pull is computed once, by that same
-    expression, and reused: the weights are bit-identical to recomputing
-    it every epoch.
+    epochs, so each fit computes each distinct set's pull once, by that
+    same expression, and reuses it: the weights are bit-identical to
+    recomputing it every epoch. The stacked pulls are cached as well,
+    keyed by every fit's set at once: an epoch whose sets all recur
+    together does no per-fit work, and one whose sets are those of the
+    epoch before does no lookup.
     The margins come from YZ1 = y_signed * Z1 in one product. y is +-1,
     so the row scaling is exact and each row's dot product is the exact
     negation of Z1's where y is -1, the same mask bit for bit.
     """
-    n, d = Z.shape
+    n, d = Z.shape[-2:]
     lam = 1.0 / (SVM_C * n)
-    Z1 = np.hstack([Z, np.ones((n, 1))])
-    YZ1 = y_signed[:, None] * Z1
-    w = np.zeros(d + 1)
-    pulls = {}
+    ones = np.ones(Z.shape[:-1] + (1,))
+    Z1 = np.concatenate([Z, ones], axis=-1)
+    YZ1 = y_signed[..., None] * Z1
+    W = np.zeros(Z1.shape[:-2] + (d + 1, 1))  # one column of weights per fit
+    # array operands, not the Python floats 1.0 and lam, spare numpy a
+    # scalar conversion per epoch; the elementwise results are the same
+    lams = np.full_like(W, lam)
+    fits = [(z1, y, {}) for z1, y in zip(Z1.reshape(-1, n, d + 1), y_signed.reshape(-1, n))]
+    stacked = {}
+    key = P = None
     for t in range(1, SVM_EPOCHS + 1):
-        viol = YZ1 @ w < 1.0
-        key = viol.tobytes()
-        pull = pulls.get(key)
-        if pull is None:
-            pull = pulls[key] = (Z1[viol].T @ y_signed[viol]) / n
-        w -= (lam * w - pull) / (lam * t)
-    return w[:-1], w[-1]
+        viol = YZ1 @ W < ones
+        last, key = key, viol.tobytes()
+        if key != last:
+            P = stacked.get(key)
+        if P is None:
+            P = stacked[key] = np.empty_like(W)
+            rows = zip(fits, viol.reshape(-1, n), P.reshape(-1, d + 1))
+            for b, ((z1, y, cache), v, p) in enumerate(rows):
+                own = key[b * n:(b + 1) * n]
+                if own not in cache:
+                    cache[own] = (z1[v].T @ y[v]) / n
+                p[:] = cache[own]
+        W -= (lams * W - P) / (lam * t)
+    # [()] turns a lone fit's 0-d bias into a scalar and leaves a stack's as is
+    return W[..., :-1, 0], W[..., -1, 0][()]
 
 
 def _fit_lr(Z, y_signed):
@@ -205,8 +229,8 @@ class Model:
             raise FitError(f"model text is not a model: {exc}") from None
 
 
-def fit(kind, X, y, seed=0, feature_names=None):
-    """Train one classifier on a labeled matrix."""
+def _checked(kind, X, y):
+    """(X as floats, y as 0/1 ints) for a fit, or the FitError that refuses them."""
     if kind not in KINDS:
         raise FitError(f"unknown classifier kind {kind!r} (expected one of {KINDS})")
     X = np.asarray(X, dtype=float)
@@ -222,16 +246,30 @@ def fit(kind, X, y, seed=0, feature_names=None):
         raise FitError("non-finite feature values")
     if len(np.unique(y)) < 2:
         raise FitError("training labels contain a single class")
+    return X, y
+
+
+def _standardized(X, y):
+    """(scaler fitted on X, standardized X, labels as -1/+1) for a linear fit."""
+    scaler = standardize(X)
+    return scaler, scaler.transform(X), 2.0 * y - 1.0
+
+
+def _names(d):
+    return tuple(f"f{i}" for i in range(d))
+
+
+def fit(kind, X, y, seed=0, feature_names=None):
+    """Train one classifier on a labeled matrix."""
+    X, y = _checked(kind, X, y)
     if feature_names is None:
-        feature_names = tuple(f"f{i}" for i in range(X.shape[1]))
+        feature_names = _names(X.shape[1])
     if len(feature_names) != X.shape[1]:
         raise FitError(f"{len(feature_names)} feature names for {X.shape[1]} features")
-    y_signed = 2.0 * y - 1.0
 
     scaler = None
     if kind in LINEAR_KINDS:
-        scaler = standardize(X)
-        Z = scaler.transform(X)
+        scaler, Z, y_signed = _standardized(X, y)
         impl = _fit_svm(Z, y_signed) if kind == "svm" else _fit_lr(Z, y_signed)
     elif kind == "rf":
         impl = RandomForest(seed=seed).fit(X, y)
@@ -244,3 +282,31 @@ def fit(kind, X, y, seed=0, feature_names=None):
         scaler=scaler,
         impl=impl,
     )
+
+
+def fit_many(kind, X, y, jobs, seed=0):
+    """`[fit(kind, X[rows][:, cols], y[rows], seed=seed) for rows, cols in jobs]`.
+
+    Rows are gathered before columns, as in that loop: the gather's memory
+    order sets the last bits of a linear fit. svm jobs are all checked
+    first, raising the message `fit` would for the first bad one; then the
+    jobs of each (rows, columns) shape train in lockstep in one `_fit_svm`
+    call, with the same bits as one by one. Other kinds run that loop.
+    """
+    if kind != "svm":
+        return [fit(kind, X[rows][:, cols], y[rows], seed=seed) for rows, cols in jobs]
+    prepared = [_standardized(*_checked(kind, X[rows][:, cols], y[rows]))
+                for rows, cols in jobs]
+    groups = {}
+    for i, (_, Z, _) in enumerate(prepared):
+        groups.setdefault(Z.shape, []).append(i)
+    impls = {}
+    for members in groups.values():
+        W, B = _fit_svm(np.stack([prepared[i][1] for i in members]),
+                        np.stack([prepared[i][2] for i in members]))
+        impls.update(zip(members, zip(W, B)))
+    return [
+        Model(kind=kind, feature_names=_names(Z.shape[1]), seed=int(seed), scaler=scaler,
+              impl=impls[i])
+        for i, (scaler, Z, _) in enumerate(prepared)
+    ]

@@ -6,7 +6,8 @@ and repeat until one survives. The elimination order reversed is the
 ranking, best first.
 
 `best_subset_for_split` is the one selector every protocol calls; the
-row splits it is given decide which rows the choice may see.
+row splits it is given decide which rows the choice may see. It fits a
+subset on all its splits in one `learn.fit_many` call.
 """
 
 from dataclasses import dataclass
@@ -70,12 +71,12 @@ def best_subset_for_split(X, y, kind, rank_rows, splits, seed=0):
     ranking = rank_features(X[rank_rows], y[rank_rows], kind, seed=seed)
 
     def mean_accuracy(cols):
-        # rows, then columns, as the protocols gather their own fits: the
-        # column gather's memory order sets the last bits of a linear fit
+        # fit_many gathers rows, then columns, as the protocols gather their
+        # own fits: the gather's memory order sets the last bits of a linear fit
+        models = learn.fit_many(kind, X, y, [(fit, cols) for fit, _ in splits], seed=seed)
         return float(np.mean([
-            learn.fit(kind, X[fit][:, cols], y[fit], seed=seed)
-            .accuracy(X[score][:, cols], y[score])
-            for fit, score in splits
+            model.accuracy(X[score][:, cols], y[score])
+            for model, (_, score) in zip(models, splits)
         ]))
 
     k, _ = select_best_k(ranking, mean_accuracy)

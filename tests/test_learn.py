@@ -161,19 +161,13 @@ def test_wrong_shape_model_text_rejected(field, value):
 
 
 @pytest.mark.parametrize("kind", learn.KINDS)
-@pytest.mark.parametrize("d", (0, 1, 5))
+@pytest.mark.parametrize("d", (0, 1, 2, 5))
 def test_zero_rows_score_empty(kind, d):
     X, y = separable_blobs(20, d=max(d, 1))
     model = fit(kind, X[:, :d], y, seed=1)
     scores = model.decision_scores(np.zeros((0, d)))
     assert scores.dtype == np.float64 and scores.shape == (0,)
     assert model.predict(np.zeros((0, d))).shape == (0,)
-
-
-def test_predict_empty_rows():
-    X, y = separable_blobs(20)
-    model = fit("lr", X, y)
-    assert model.predict(np.zeros((0, 2))).size == 0
 
 
 @pytest.mark.parametrize("kind", learn.KINDS)
@@ -482,3 +476,79 @@ def _svm_digest_matrix():
 def test_seeded_svm_model_byte_identical_to_per_epoch_loop():
     text = fit("svm", *_svm_digest_matrix(), seed=7).to_json()
     assert hashlib.sha256(text.encode()).hexdigest() == _SVM_DIGEST
+
+
+@st.composite
+def _fit_many_problem(draw):
+    """(X, y, jobs): 2-16 rows, 0-6 columns, and 1-6 jobs of one or two
+    shapes, whose rows repeat and hold both classes."""
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(0, 6))
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_subnormal=False))
+    X = draw(hnp.arrays(np.float64, (n, d), elements=values))
+    y = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[0], y[-1] = 0, 1
+    shapes = draw(st.lists(st.tuples(st.integers(2, 2 * n), st.integers(0, d)),
+                           min_size=1, max_size=2))
+    jobs = []
+    for _ in range(draw(st.integers(1, 6))):
+        n_rows, n_cols = draw(st.sampled_from(shapes))
+        rest = draw(st.lists(st.integers(0, n - 1), min_size=n_rows - 2, max_size=n_rows - 2))
+        rows = np.array(draw(st.permutations([0, n - 1, *rest])))
+        cols = np.array(draw(st.permutations(range(d)))[:n_cols], dtype=int)
+        jobs.append((rows, cols))
+    return X, y, jobs
+
+
+def _zero_column_jobs():
+    X, y = separable_blobs(12, seed=40)
+    return X[:, :0], y, [(np.arange(12), np.arange(0)), (np.array([0, 11, 11]), np.arange(0))]
+
+
+def _alternating_jobs():
+    """Shapes (12, 3) and (8, 2) take turns, so the two groups interleave."""
+    X, y = separable_blobs(20, seed=41, d=4)
+    rng = np.random.default_rng(41)
+    jobs = []
+    for i in range(5):
+        n_rows, n_cols = (12, 3) if i % 2 == 0 else (8, 2)
+        rows = np.concatenate([[0, 19], rng.integers(0, 20, n_rows - 2)])
+        jobs.append((rows, rng.permutation(4)[:n_cols]))
+    return X, y, jobs
+
+
+@pytest.mark.parametrize("kind", learn.KINDS)
+@settings(max_examples=40, deadline=None)
+@given(problem=_fit_many_problem())
+@example(problem=_zero_column_jobs())
+@example(problem=_alternating_jobs())
+def test_fit_many_matches_fit_loop(kind, problem):
+    X, y, jobs = problem
+    models = learn.fit_many(kind, X, y, jobs, seed=3)
+    loop = [fit(kind, X[rows][:, cols], y[rows], seed=3) for rows, cols in jobs]
+    assert [m.to_json() for m in models] == [m.to_json() for m in loop]
+    unseen = np.random.default_rng(len(jobs)).normal(size=(7, X.shape[1]))
+    for (_, cols), model, want in zip(jobs, models, loop):
+        scores = model.decision_scores(unseen[:, cols])
+        assert scores.tobytes() == want.decision_scores(unseen[:, cols]).tobytes()
+
+
+@pytest.mark.parametrize("kind", learn.KINDS)
+def test_fit_many_refuses_a_bad_job_as_fit_does(kind):
+    X, y = separable_blobs(20, d=3)
+    X[5, 1] = np.nan
+    cols = np.array([2, 0])
+    good = (np.arange(6, 20), cols)
+    assert learn.fit_many(kind, X, y, []) == []
+    for bad in ((np.arange(8), cols),  # one class
+                (np.arange(20), np.array([1, 2])),  # a NaN
+                (np.array([12]), cols)):  # one row
+        rows, bad_cols = bad
+        with pytest.raises(FitError) as by_fit:
+            fit(kind, X[rows][:, bad_cols], y[rows], seed=1)
+        with pytest.raises(FitError) as by_many:
+            learn.fit_many(kind, X, y, [good, bad, good], seed=1)
+        assert str(by_many.value) == str(by_fit.value)
+    with pytest.raises(FitError, match="^unknown classifier kind 'knn'"):
+        learn.fit_many("knn", X, y, [good])

@@ -15,6 +15,11 @@ train and a test predict. At d = 12 features (two peaks per transform):
   of all rows;
 - `transfer --rfe on`: 5 inner splits of the source per subset size, and
   the final model's train and target predicts.
+
+The subset fits of each split go through `learn.fit_many`, which the probe
+does not wrap. For lr and rf it calls `learn.fit` once per split, so they
+are counted; svm trains them in lockstep without `learn.fit`, so an svm
+trace counts only the ranking and final fits, while every predict stays.
 """
 
 import json
@@ -83,6 +88,15 @@ def test_transfer_lr_rfe_counts(manifest, tmp_path):
     calls = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "lr",
                    "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
     assert calls["learn.fit.lr"] == (D - 1) + 5 * D + 1 == 72
+    assert calls["learn.predict"] == 5 * D + 2 == 62
+    assert calls["rfe.rank"] == 1
+    assert calls["rfe"] == 2
+
+
+def test_transfer_svm_rfe_counts(manifest, tmp_path):
+    calls = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "svm",
+                   "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
+    assert calls["learn.fit.svm"] == (D - 1) + 1 == 12
     assert calls["learn.predict"] == 5 * D + 2 == 62
     assert calls["rfe.rank"] == 1
     assert calls["rfe"] == 2
