@@ -15,11 +15,19 @@ from . import __version__
 from . import evaluate, featurize, learn, rfe, synthgen, transform
 from .dataset import (atomic_write, check_writable, load_manifest, split_by_config,
                       write_corpus)
-from .errors import ChatterKitError
+from .errors import ChatterKitError, ConfigError
 
 
 def _log(msg):
     print(msg, file=sys.stderr)
+
+
+def _seed(text):
+    """--seed as a non-negative integer, the seeds numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise ConfigError(f"--seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _add_pipeline_flags(p, peak_flags):
@@ -176,7 +184,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=30, help="records per class per config")
     p.add_argument("--amp-b", type=float, default=None)
     p.add_argument("--noise-b", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=cmd_synth)
 
     def data_parser(name, help_text, fn, peak_flags=True):
@@ -190,7 +198,7 @@ def build_parser():
         q.add_argument("--classifier", choices=learn.KINDS, default="rf")
         if rfe_flag:
             q.add_argument("--rfe", choices=("on", "off"), default="off")
-        q.add_argument("--seed", type=int, default=0)
+        q.add_argument("--seed", type=_seed, default=0)
 
     p = data_parser("features", "dump the feature matrix as CSV", cmd_features)
     p.add_argument("--config-id", default=None)
@@ -235,16 +243,14 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; map to the documented code 1
-        return 0 if exc.code == 0 else 1
-    try:
+        args = build_parser().parse_args(argv)  # a negative --seed raises ConfigError
         if args.command != "synth":  # fail before the work, not after it
             check_writable(args.out)
         return args.fn(args)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors; map to the documented code 1
+        return 0 if exc.code == 0 else 1
     except ChatterKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

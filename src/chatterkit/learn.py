@@ -229,10 +229,12 @@ class Model:
             raise FitError(f"model text is not a model: {exc}") from None
 
 
-def _checked(kind, X, y):
+def _checked(kind, X, y, seed):
     """(X as floats, y as 0/1 ints) for a fit, or the FitError that refuses them."""
     if kind not in KINDS:
         raise FitError(f"unknown classifier kind {kind!r} (expected one of {KINDS})")
+    if seed < 0:  # numpy's generators take none, and every kind refuses it alike
+        raise FitError(f"seed must be a non-negative integer, got {seed}")
     X = np.asarray(X, dtype=float)
     labels = np.asarray(y)
     if not np.isin(labels, (0, 1)).all():
@@ -261,7 +263,7 @@ def _names(d):
 
 def fit(kind, X, y, seed=0, feature_names=None):
     """Train one classifier on a labeled matrix."""
-    X, y = _checked(kind, X, y)
+    X, y = _checked(kind, X, y, seed)
     if feature_names is None:
         feature_names = _names(X.shape[1])
     if len(feature_names) != X.shape[1]:
@@ -295,7 +297,7 @@ def fit_many(kind, X, y, jobs, seed=0):
     """
     if kind != "svm":
         return [fit(kind, X[rows][:, cols], y[rows], seed=seed) for rows, cols in jobs]
-    prepared = [_standardized(*_checked(kind, X[rows][:, cols], y[rows]))
+    prepared = [_standardized(*_checked(kind, X[rows][:, cols], y[rows], seed))
                 for rows, cols in jobs]
     groups = {}
     for i, (_, Z, _) in enumerate(prepared):

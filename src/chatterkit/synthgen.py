@@ -42,6 +42,8 @@ class SynthSpec:
     def __post_init__(self):
         if not self.n_per_class >= 1:
             raise SynthSpecError(f"n_per_class {self.n_per_class} must be >= 1")
+        if not self.seed >= 0:
+            raise SynthSpecError(f"seed {self.seed} must be >= 0")
         if not self.noise_std >= 0:  # also rejects NaN
             raise SynthSpecError(f"noise_std {self.noise_std} must be >= 0")
         if not self.chatter_freq_hz > 0:

@@ -19,6 +19,11 @@ node's rows are padded to the largest node's count with a row of NaN
 features and target 0: NaN sorts after every value and cannot be split
 next to, so every real prefix sum, score, tie-break and threshold keeps
 the bits it has for the node alone, and no padded position can win.
+A Gini node's count of ones is an integer, exact in any order, and
+rides on its stack with its rows: one segment sum counts all the roots,
+and after each call one gathered comparison and one segment sum count
+every split node's children, so a forest pops its nodes without numpy.
+A boosting node sums its float targets itself, as `sum()` does.
 
 A fitted tree is five flat arrays indexed by node number: `feature`,
 `threshold`, `left`, `right` and `value`. Nodes are numbered in
@@ -33,6 +38,9 @@ takes. Every prediction is one lookup through the stacked node arrays of
 all the trees, `_leaf_values`: the forest sums its integer votes, which
 is exact, and boosting adds its scaled leaf values in stage order.
 """
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -78,7 +86,8 @@ def _best_split(X, t, rows, features, gini):
     at = at.reshape(len(rows), width)
     cols = X.take(at[:, None, :] * X.shape[1] + features[:, :, None])
     order = cols.argsort(axis=2, kind="stable")
-    xs = np.take_along_axis(cols, order, axis=2)
+    blocks = np.arange(0, cols.size, width).reshape(cols.shape[:2] + (1,))
+    xs = cols.ravel()[order + blocks]  # np.take_along_axis's values, fewer calls
     ts = t[at].ravel()[order + width * np.arange(len(rows))[:, None, None]]
     splittable = xs[:, :, 1:] > xs[:, :, :-1]
     n = np.array(sizes, dtype=float)[:, None, None]
@@ -123,7 +132,13 @@ def _grow(trees, X, t, h, rows):
     # one padding row for _best_split: NaN features, target 0
     padded = np.vstack((X, np.full(d, np.nan))), np.append(t, 0.0)
     every_feature = np.arange(d)
-    stacks = [[(r, 0, -1, 0)] for r in rows]  # (rows, depth, parent, slot)
+    # (rows, depth, parent, slot, stat): stat is a Gini node's count of ones;
+    # a boosting node sums its float targets when popped, as `sum()` does
+    stats = [0] * len(rows)
+    if gini:
+        sizes = [r.size for r in rows]
+        stats = np.add.reduceat(t[np.concatenate(rows)], np.cumsum(sizes) - sizes).tolist()
+    stacks = [[(r, 0, -1, 0, stat)] for r, stat in zip(rows, stats)]
     # per tree: [feature, threshold, left, right, value, depth, impurity decrease]
     nodes = [[] for _ in trees]
     leaves = [[] for _ in trees]
@@ -134,17 +149,16 @@ def _grow(trees, X, t, h, rows):
         for k, tree in enumerate(trees):
             stack, tree_nodes, max_depth = stacks[k], nodes[k], tree.max_depth
             while stack:
-                r, depth, parent, slot = stack.pop()
+                r, depth, parent, slot, stat = stack.pop()
                 if parent >= 0:
                     tree_nodes[parent][slot] = len(tree_nodes)
                 n = r.size
-                sub = t[r]
                 stop = n < 2 or (max_depth is not None and depth >= max_depth)
                 if gini:
-                    stat = int(sub.sum())
                     value = 1 if stat * 2 > n else 0
                     stop = stop or stat == 0 or stat == n
                 else:
+                    sub = t[r]
                     stat = sub.sum()
                     if h is None:
                         value = float(stat / n)  # the bits of sub.mean()
@@ -156,7 +170,7 @@ def _grow(trees, X, t, h, rows):
                 if stop:
                     leaves[k].append((r, value))
                     continue
-                batch.append((k, len(tree_nodes) - 1, r, depth, sub, stat))
+                batch.append((k, len(tree_nodes) - 1, r, depth, stat))
                 if draws[k]:
                     features.append(tree.rng.choice(d, size=tree.max_features, replace=False))
                     break
@@ -164,34 +178,54 @@ def _grow(trees, X, t, h, rows):
         if not batch:
             break
         splits = _best_split(*padded, [entry[2] for entry in batch], features, gini)
-        for (k, node, r, depth, sub, stat), best in zip(batch, splits):
+        if gini:
+            # one gathered comparison and one segment sum give the split
+            # nodes' left masks, sizes and ones; boosting masks node by node
+            chosen = [(entry[2], best) for entry, best in zip(batch, splits) if best is not None]
+            if chosen:
+                at = np.concatenate([r for r, _ in chosen])
+                sizes = [r.size for r, _ in chosen]
+                starts = np.cumsum(sizes) - sizes
+                go_left = (X[at, np.repeat([best[1] for _, best in chosen], sizes)]
+                           <= np.repeat([best[2] for _, best in chosen], sizes))
+                counts = np.add.reduceat(np.stack((go_left, go_left & t[at])), starts, axis=1)
+                parts = zip(starts.tolist(), *counts.tolist())
+        for (k, node, r, depth, stat), best in zip(batch, splits):
             decrease = None
             if best is not None:
                 score, feature, threshold = best
                 n = r.size
-                mask = X[r, feature] <= threshold
+                if gini:
+                    a, left, left_ones = next(parts)
+                    mask = go_left[a:a + n]
+                else:
+                    mask = X[r, feature] <= threshold
+                    left, left_ones = np.count_nonzero(mask), 0
                 # a midpoint that rounded onto a value or overflowed splits nothing
-                if 0 < np.count_nonzero(mask) < n:
+                if 0 < left < n:
                     if gini:
                         decrease = (_gini(stat, n) - score) * n / rows[k].size
                     else:  # stat / n is sub.mean()
-                        sse = float(((sub - stat / n) ** 2).sum())
+                        sse = float(((t[r] - stat / n) ** 2).sum())
                         decrease = (sse - score) / rows[k].size
             record = nodes[k][node]
             if decrease is None or decrease <= 0:
                 leaves[k].append((r, record[4]))
                 continue
             record[0], record[1], record[6] = feature, threshold, decrease
-            stacks[k] += [(r[~mask], depth + 1, node, 3), (r[mask], depth + 1, node, 2)]
-    for k, tree in enumerate(trees):
-        # a depth-first tree met its nodes in pre-order; a level-by-level one
-        # is renumbered, and its importances summed, in that order too
-        tree_nodes = nodes[k] if draws[k] else _preorder(nodes[k])
-        tree._set_nodes(tree_nodes)
-        tree.importance_ = np.zeros(d)
-        for feature, *_, decrease in tree_nodes:
-            if feature >= 0:
-                tree.importance_[feature] += decrease
+            stacks[k] += [(r[~mask], depth + 1, node, 3, stat - left_ones),
+                          (r[mask], depth + 1, node, 2, left_ones)]
+    # a depth-first tree met its nodes in pre-order; a level-by-level one
+    # is renumbered, and its importances summed, in that order too
+    nodes = [nodes[k] if draws[k] else _preorder(nodes[k]) for k in range(len(trees))]
+    feature, decrease = _store(trees, nodes)
+    # every tree's importances in one call, added in pre-order as a loop would
+    split = feature >= 0
+    owner = np.repeat(np.arange(len(trees)) * d, [len(tree_nodes) for tree_nodes in nodes])
+    importance = np.zeros((len(trees), d))
+    np.add.at(importance.ravel(), (owner + feature)[split], decrease[split])
+    for tree, row in zip(trees, importance):
+        tree.importance_ = row
     return leaves
 
 
@@ -209,6 +243,22 @@ def _preorder(nodes):
         number[old] = new
     return [[f, th, number[lo], number[hi], *rest]
             for f, th, lo, hi, *rest in (nodes[i] for i in order)]
+
+
+def _store(trees, nodes):
+    """Store each tree's pre-order records as slices of one array per field;
+    return all the records' features and decreases."""
+    feature, threshold, left, right, value, depth, decrease = zip(
+        *itertools.chain.from_iterable(nodes))
+    feature, left, right = (np.array(column, dtype=np.intp) for column in (feature, left, right))
+    threshold = np.array(threshold, dtype=float)
+    value = np.array(value, dtype=int if trees[0].gini else float)
+    ends = list(itertools.accumulate(map(len, nodes)))
+    for tree, a, b in zip(trees, [0] + ends, ends):
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value = (
+            feature[a:b], threshold[a:b], left[a:b], right[a:b], value[a:b])
+        tree.depth = max(depth[a:b])
+    return feature, np.array(decrease, dtype=float)
 
 
 def _leaf_values(trees, X):
@@ -271,17 +321,6 @@ class Tree:
         self.depth = 0
         self.importance_ = None
 
-    def _set_nodes(self, nodes):
-        """Store pre-order nodes [feature, threshold, left, right, value,
-        depth, ...] as the node arrays."""
-        feature, threshold, left, right, value, depth, *_ = zip(*nodes)
-        self.feature = np.array(feature, dtype=np.intp)
-        self.threshold = np.array(threshold, dtype=float)
-        self.left = np.array(left, dtype=np.intp)
-        self.right = np.array(right, dtype=np.intp)
-        self.value = np.array(value, dtype=int if self.gini else float)
-        self.depth = max(depth)
-
     def fit(self, X, targets, hessians=None):
         X = np.asarray(X, dtype=float)
         t = np.asarray(targets, dtype=int if self.gini else float)
@@ -320,19 +359,39 @@ class Tree:
 
         def walk(d, depth):
             node = len(nodes)
-            nodes.append([-1, 0.0, -1, -1, d["value"], depth])
+            nodes.append([-1, 0.0, -1, -1, d["value"], depth, 0.0])
             if "feature" in d:
                 left, right = walk(d["left"], depth + 1), walk(d["right"], depth + 1)
                 nodes[node][:4] = d["feature"], d["threshold"], left, right
             return node
 
         walk(d, 0)
-        tree._set_nodes(nodes)
+        _store([tree], [nodes])
         return tree
 
 
+@functools.lru_cache(maxsize=8)
+def _forest_setup(seed, n):
+    """Each tree's child seed, bootstrap of n rows and generator state after
+    drawing it: what every forest fit with `seed` on n rows draws before it
+    grows. Fits share them, so the bootstraps are read-only."""
+    children = np.random.SeedSequence(seed).spawn(N_TREES)
+    rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    for boot in boots:
+        boot.flags.writeable = False
+    return tuple(children), tuple(boots), tuple(rng.bit_generator.state for rng in rngs)
+
+
 class RandomForest:
-    """Bagged Gini trees with sqrt(d) feature subsampling per split."""
+    """Bagged Gini trees with sqrt(d) feature subsampling per split.
+
+    Each tree draws its bootstrap, then its candidate features, from its
+    own generator spawned from `seed`. The seeds, the bootstraps and the
+    generators' states after them depend only on (seed, row count), so a
+    fit takes them from a small cache, `_forest_setup`, and draws only
+    the features itself.
+    """
 
     def __init__(self, seed=0):
         self.seed = seed
@@ -345,10 +404,10 @@ class RandomForest:
         n, d = X.shape
         self.n_features = d
         max_features = int(np.ceil(np.sqrt(d)))
-        rngs = [np.random.Generator(np.random.PCG64(ss))
-                for ss in np.random.SeedSequence(self.seed).spawn(N_TREES)]
-        # each tree draws its bootstrap, then its candidate features, from its own rng
-        boots = [rng.integers(0, n, size=n) for rng in rngs]
+        children, boots, states = _forest_setup(self.seed, n)
+        rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+        for rng, state in zip(rngs, states):  # each resumes after its bootstrap
+            rng.bit_generator.state = state
         self.trees = [Tree(gini=True, max_features=max_features, rng=rng) for rng in rngs]
         _grow(self.trees, X, y, None, boots)
         return self

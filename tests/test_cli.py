@@ -182,6 +182,23 @@ def test_synth_bad_tone_or_noise_is_an_error(tmp_path, capsys, flag, value, mess
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("synth", "eval", "cv", "transfer", "rank-report"))
+def test_negative_seed_is_an_error_not_a_traceback(corpus, tmp_path, command):
+    """Every subcommand with --seed refuses a negative one before any work,
+    in one `error:` line: numpy seeds no generator from it."""
+    out = tmp_path / "out"
+    where = (["--out-dir", str(out)] if command == "synth" else
+             ["--manifest", str(corpus), "--classifier", "rf", "--out", str(out)])
+    if command == "transfer":
+        where += ["--source-config", "synth_a", "--target-config", "synth_b"]
+    env = dict(os.environ, PYTHONPATH=str(Path(chatterkit.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "chatterkit.cli", command, *where,
+                           "--seed", "-1"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: --seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def _manifest_copy(corpus, path, edit):
     """corpus's manifest at path, signal files made absolute, after edit(entries)."""
     entries = json.loads(corpus.read_text())

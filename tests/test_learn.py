@@ -95,6 +95,16 @@ def test_one_label_per_row_required(kind):
             fit(kind, X, bad, seed=1)
 
 
+@pytest.mark.parametrize("kind", learn.KINDS)
+def test_negative_seed_rejected(kind):
+    X, y = separable_blobs(10, d=3)
+    message = "^seed must be a non-negative integer, got -1$"
+    with pytest.raises(FitError, match=message):
+        fit(kind, X, y, seed=-1)
+    with pytest.raises(FitError, match=message):
+        learn.fit_many(kind, X, y, [(np.arange(10), [0, 1])], seed=-1)
+
+
 def test_unknown_kind_and_single_row_rejected():
     X, y = separable_blobs(10)
     with pytest.raises(FitError, match="unknown classifier kind 'knn'"):

@@ -102,6 +102,11 @@ def test_spec_needs_a_record_per_class(n):
         synthgen.SynthSpec(n_per_class=n)
 
 
+def test_spec_needs_a_non_negative_seed():
+    with pytest.raises(SynthSpecError, match="^seed -3 must be >= 0$"):
+        synthgen.SynthSpec(seed=-3)
+
+
 def test_dataset_configs_must_differ():
     spec_a, spec_b = synthgen.default_spec_pair(seed=1)
     with pytest.raises(SynthSpecError, match="chatter_freq_hz 800.0"):

@@ -54,21 +54,24 @@ def _trace(tmp_path, *argv):
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    return json.loads(out.read_text())["calls"]
+    trace = json.loads(out.read_text())
+    return trace["calls"], trace["counts"]
 
 
 def test_eval_rf_rfe_counts(manifest, tmp_path):
-    calls = _trace(tmp_path, "eval", "--manifest", manifest, "--classifier", "rf",
-                   "--rfe", "on", "--reps", "1")
+    calls, counts = _trace(tmp_path, "eval", "--manifest", manifest, "--classifier", "rf",
+                           "--rfe", "on", "--reps", "1")
     assert calls["learn.fit.rf"] == (D - 1) + D + 1 == 24
     assert calls["learn.predict"] == D + 2 == 14
     assert calls["rfe.rank"] == 1
     assert calls["rfe"] == 2
+    # the split nodes of the 24 forests: a change to how they grow moves this
+    assert counts["tree_nodes"] == 3197
 
 
 def test_cv_lr_rfe_counts(manifest, tmp_path):
-    calls = _trace(tmp_path, "cv", "--manifest", manifest, "--classifier", "lr",
-                   "--rfe", "on", "--folds", "2")
+    calls, _ = _trace(tmp_path, "cv", "--manifest", manifest, "--classifier", "lr",
+                      "--rfe", "on", "--folds", "2")
     assert calls["learn.fit.lr"] == 2 * ((D - 1) + D + 1) == 48
     assert calls["learn.predict"] == 2 * (D + 2) == 28
     assert calls["rfe.rank"] == 2
@@ -76,8 +79,8 @@ def test_cv_lr_rfe_counts(manifest, tmp_path):
 
 
 def test_rank_report_lr_counts(manifest, tmp_path):
-    calls = _trace(tmp_path, "rank-report", "--manifest", manifest, "--classifier", "lr",
-                   "--reps", "1")
+    calls, _ = _trace(tmp_path, "rank-report", "--manifest", manifest, "--classifier", "lr",
+                      "--reps", "1")
     assert calls["learn.fit.lr"] == (D - 1) + D + (D - 1) == 34
     assert calls["learn.predict"] == D == 12
     assert calls["rfe.rank"] == 2
@@ -85,8 +88,8 @@ def test_rank_report_lr_counts(manifest, tmp_path):
 
 
 def test_transfer_lr_rfe_counts(manifest, tmp_path):
-    calls = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "lr",
-                   "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
+    calls, _ = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "lr",
+                      "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
     assert calls["learn.fit.lr"] == (D - 1) + 5 * D + 1 == 72
     assert calls["learn.predict"] == 5 * D + 2 == 62
     assert calls["rfe.rank"] == 1
@@ -94,8 +97,8 @@ def test_transfer_lr_rfe_counts(manifest, tmp_path):
 
 
 def test_transfer_svm_rfe_counts(manifest, tmp_path):
-    calls = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "svm",
-                   "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
+    calls, _ = _trace(tmp_path, "transfer", "--manifest", manifest, "--classifier", "svm",
+                      "--rfe", "on", "--source-config", "synth_a", "--target-config", "synth_b")
     assert calls["learn.fit.svm"] == (D - 1) + 1 == 12
     assert calls["learn.predict"] == 5 * D + 2 == 62
     assert calls["rfe.rank"] == 1

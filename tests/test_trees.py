@@ -15,6 +15,7 @@ kept here, unchanged, as the reference.
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -23,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chatterkit import learn
+from chatterkit import learn, trees
 from chatterkit.trees import (GB_LEARNING_RATE, GB_MAX_DEPTH, GB_ROUNDS, N_TREES,
                               GradientBoosting, RandomForest, Tree, _best_split, _gini)
 
@@ -799,6 +800,34 @@ def test_forest_matches_one_tree_at_a_time(X, data):
     shuffled = np.roll(X, 1, axis=0) + 0.25
     for rows in (X, shuffled, X[:1], X[:0]):
         assert new.decision_function(rows).tobytes() == old.decision_function(rows).tobytes()
+
+
+def test_forests_in_one_process_match_one_tree_at_a_time():
+    """A run of fits in one process, as RFE makes them, through the cached
+    (seed, rows) set-up: nine keys fill the cache and evict the first, the
+    way back hits the rest and misses the evicted ones, and each key comes
+    back with another width. Every fit is the reference's, generator
+    states included."""
+    trees._forest_setup.cache_clear()
+    rng = np.random.default_rng(11)
+    keys = [(seed, n) for seed in (0, 1, 2) for n in (12, 17, 23)]
+    for (seed, n), d in zip(keys + keys[::-1] + keys[:2], itertools.cycle((1, 5, 9, 30))):
+        X = np.round(rng.normal(size=(n, d)), 1)
+        y = np.arange(n) % 2
+        unseen = rng.normal(size=(7, d))
+        old = _LoopForest(seed=seed).fit(X, y)
+        new = RandomForest(seed=seed).fit(X, y)
+        assert _json("rf", new, d, seed) == _json("rf", old, d, seed), (seed, n, d)
+        assert new.decision_function(unseen).tobytes() == old.decision_function(unseen).tobytes()
+        assert ([tree.rng.bit_generator.state for tree in new.trees]
+                == [tree.rng.bit_generator.state for tree in old.trees]), (seed, n, d)
+    # 9 misses, 8 hits back to the second key, a miss for the evicted first,
+    # then 2 hits
+    info = trees._forest_setup.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (10, 10, 8, 8)
+    _, boots, _ = trees._forest_setup(0, 12)
+    with pytest.raises(ValueError, match="read-only"):
+        boots[0][0] = 0
 
 
 @settings(max_examples=20, deadline=None)

@@ -12,7 +12,8 @@ different directories compare equal when the program behaves the same.
 The cases cover every subcommand, all four classifiers with RFE on and
 off, settings that must end in `error: ...`, unreadable inputs and
 unwritable outputs, and `Model.to_json` round trips with each model's
-scores on rows it never saw, on four corpora:
+scores on rows it never saw (also for many fits in one process), on four
+corpora:
   - synth: `chatterkit synth --n 30 --seed 0` (10 kHz; itself a case);
   - ingest: perfbench/corpus.py's `ingest_160k` at seed 0 (160 kHz, so
     every matrix command decimates);
@@ -67,6 +68,24 @@ assert again.to_json() == text
 assert (again.predict(fm.X) == model.predict(fm.X)).all()
 print(text)
 print(model.decision_scores(unseen.X).tobytes().hex())
+"""
+
+
+# Fits rf and gb in one process, as RFE does, on every 1st, 3rd or 5th row
+# of synth_a's matrix with seeds 0-2: rf's set-up cache, keyed by (seed,
+# rows), fills, evicts and hits. Prints each model's text and the bytes of
+# its scores on synth_b's matrix.
+WARM_CACHE = """
+import sys
+from chatterkit import PipelineConfig, build_matrix, learn, load_manifest
+fm, unseen = (build_matrix(load_manifest(sys.argv[1], [config]), PipelineConfig())
+              for config in ("synth_a", "synth_b"))
+keys = [(seed, step) for seed in (0, 1, 2) for step in (1, 3, 5)]
+for i, (seed, step) in enumerate(keys + keys[::-1]):
+    for kind in ("rf", "gb") if i % 3 == 0 else ("rf",):
+        model = learn.fit(kind, fm.X[::step], fm.y[::step], seed=seed)
+        print(kind, seed, step, model.to_json())
+        print(model.decision_scores(unseen.X).tobytes().hex())
 """
 
 
@@ -150,6 +169,7 @@ def all_cases(work):
     ]
     for kind in KINDS:
         cases.append((f"to-json/{kind}", ["-c", TO_JSON, synth, kind]))
+    cases.append(("to-json/warm-cache", ["-c", WARM_CACHE, synth]))
 
     # Settings, inputs and outputs that must end in one `error: ...` line.
     eval_synth = ["eval", "--manifest", synth, *lr_a, "--out", "{out}/r.json"]
